@@ -1,0 +1,78 @@
+// pygb_build_pch — precompile pygb/jit/glue.hpp for JIT module compiles.
+//
+// Run at build time (the pygb_jit_pch target in src/CMakeLists.txt), never
+// by the library: a PCH takes seconds to build, and building it lazily
+// would land inside the first cold compile of every fresh cache.
+//
+// The PCH is compiled with exactly the module flags minus -shared and
+// published as <jit_pch_dir()>/pygb/jit/glue.hpp.gch (tmp + rename). The
+// directory is named by the hash of the cache stamp — compiler identity,
+// flags, include dir and header digest — so a process whose stamp differs
+// finds no PCH and compiles without one. A run whose PCH already exists
+// does nothing; a run that publishes a new one removes the other stamp
+// directories under the root, which no build of this tree uses any more.
+//
+//   pygb_build_pch        exit 0: PCH present (or no compiler: skipped)
+//                         exit 1: the compiler failed on glue.hpp
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
+#include "pygb/jit/cache.hpp"
+#include "pygb/jit/compiler.hpp"
+#include "pygb/jit/subprocess.hpp"
+
+namespace fs = std::filesystem;
+using namespace pygb::jit;  // NOLINT
+
+int main() {
+  const std::string dir = jit_pch_dir();
+  if (dir.empty() || !compiler_available()) {
+    std::printf("pygb_build_pch: no compiler or PCH root; JIT modules "
+                "compile without a PCH\n");
+    return 0;
+  }
+  const fs::path gch = fs::path(dir) / kPchFile;
+  std::error_code ec;
+  if (fs::is_regular_file(gch, ec)) return 0;
+  fs::create_directories(gch.parent_path(), ec);
+  const fs::path tmp =
+      gch.string() + "." + std::to_string(::getpid()) + ".tmp";
+
+  RunOptions opt;
+  opt.argv = split_command(compiler_command());
+  for (const auto& flag : split_command(compile_flags())) {
+    // -shared is a link-stage flag; everything that shapes the
+    // preprocessed state must match the module compiles, or g++ refuses
+    // the PCH (-Winvalid-pch on the module compile says so).
+    if (flag != "-shared") opt.argv.push_back(flag);
+  }
+  const std::string include = source_include_dir();
+  opt.argv.push_back("-x");
+  opt.argv.push_back("c++-header");
+  opt.argv.push_back("-I" + include);
+  opt.argv.push_back(include + "/pygb/jit/glue.hpp");
+  opt.argv.push_back("-o");
+  opt.argv.push_back(tmp.string());
+  const RunOutcome ro = run_subprocess(opt);
+  if (!ro.ok()) {
+    fs::remove(tmp, ec);
+    std::fprintf(stderr, "pygb_build_pch: %s\n%s", ro.describe().c_str(),
+                 ro.captured.c_str());
+    return 1;
+  }
+  fs::rename(tmp, gch, ec);
+  if (ec) {
+    fs::remove(tmp, ec);
+    std::fprintf(stderr, "pygb_build_pch: cannot publish %s: %s\n",
+                 gch.c_str(), ec.message().c_str());
+    return 1;
+  }
+  for (const auto& entry : fs::directory_iterator(jit_pch_root(), ec)) {
+    if (entry.path() != fs::path(dir)) fs::remove_all(entry.path(), ec);
+  }
+  std::printf("pygb_build_pch: %s\n", gch.c_str());
+  return 0;
+}

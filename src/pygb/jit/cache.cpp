@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -43,12 +45,91 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
+/// FNV-1a over `n` more bytes.
+std::uint64_t fnv1a_update(std::uint64_t h, const char* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(p[i]);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The `|headers=` digest of cache_stamp() for `include_dir`.
+std::uint64_t header_digest(const std::string& include_dir) {
+  std::vector<std::string> headers;  // relative to include_dir
+  std::error_code ec;
+  for (const char* sub : kStampedHeaderDirs) {
+    const fs::path root = fs::path(include_dir) / sub;
+    for (fs::recursive_directory_iterator it(root, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      if (it->path().extension() == ".hpp" && it->is_regular_file(ec)) {
+        headers.push_back(it->path().lexically_relative(include_dir).string());
+      }
+    }
+    ec.clear();
+  }
+  std::sort(headers.begin(), headers.end());
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  char buf[16384];
+  for (const std::string& rel : headers) {
+    h = fnv1a_update(h, rel.c_str(), rel.size() + 1);  // NUL-separated
+    const int fd =
+        ::open((include_dir + "/" + rel).c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) continue;
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0 || (n < 0 && errno == EINTR)) {
+      if (n > 0) h = fnv1a_update(h, buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    h = fnv1a_update(h, "\0", 1);  // end of file: contents cannot shift
+  }
+  return h;
+}
+
+/// header_digest() per include directory: hashed once per process.
+std::mutex g_digest_mu;
+std::map<std::string, std::uint64_t> g_digests;
+
+std::uint64_t memo_header_digest(const std::string& include_dir) {
+  std::lock_guard lock(g_digest_mu);
+  if (auto it = g_digests.find(include_dir); it != g_digests.end()) {
+    return it->second;
+  }
+  return g_digests.emplace(include_dir, header_digest(include_dir))
+      .first->second;
+}
+
+#ifndef PYGB_JIT_PCH_ROOT
+#define PYGB_JIT_PCH_ROOT ""
+#endif
+
 }  // namespace
 
+void forget_header_digests() {
+  std::lock_guard lock(g_digest_mu);
+  g_digests.clear();
+}
+
 std::string cache_stamp() {
+  const std::string include_dir = source_include_dir();
   return "pygb-cache-v" + std::to_string(kCacheSchemaVersion) + "|" +
          compiler_identity() + "|" + compile_flags() + "|include=" +
-         source_include_dir();
+         include_dir + "|headers=" + hex64(memo_header_digest(include_dir));
+}
+
+std::string jit_pch_root() { return PYGB_JIT_PCH_ROOT; }
+
+std::string jit_pch_dir() {
+  const std::string root = jit_pch_root();
+  if (root.empty()) return "";
+  return root + "/" + hex64(key_hash(cache_stamp()));
+}
+
+std::string active_pch_dir() {
+  std::string dir = jit_pch_dir();
+  std::error_code ec;
+  if (dir.empty() || !fs::is_regular_file(dir + "/" + kPchFile, ec)) return "";
+  return dir;
 }
 
 std::string module_stamp(const std::string& key) {

@@ -55,12 +55,49 @@ namespace pygb::jit {
 /// v7: direction-optimization amortization — gbtl::Matrix grows the
 /// pull-interest counter (transpose_want_; sizeof changed again), so v6
 /// modules see a stale container layout.
-inline constexpr int kCacheSchemaVersion = 7;
+/// v8: the stamp carries a digest of the headers generated modules
+/// compile against (`|headers=`), which also names the build-time PCH
+/// directory; v7 stamps said nothing about header contents.
+inline constexpr int kCacheSchemaVersion = 8;
+
+/// Include subdirectories whose `*.hpp` files header_digest() covers:
+/// everything pygb/jit/glue.hpp (and so every generated module and the
+/// PCH) can include from the project.
+inline constexpr const char* kStampedHeaderDirs[] = {"pygb", "gbtl",
+                                                     "algorithms"};
 
 /// The full environment stamp: schema version, compiler identity and
-/// flags, pygb version. Computed once per (process, compiler command) and
-/// cached. Example: "pygb-cache-v2|g++ (GCC) 13.2.0|-std=c++20 -O2 ...".
+/// flags, include directory and the digest of its headers. Example:
+/// "pygb-cache-v8|g++ (GCC) 12.2.0|-std=c++20 -O2 ...|include=/src|
+/// headers=0123456789abcdef". The digest is FNV-1a over every `*.hpp`
+/// under `<include>/{pygb,gbtl,algorithms}` in sorted relative-path
+/// order, paths and contents both, read through a fixed-size buffer
+/// (nothing else in the tree, such as a `.gch`, is read). The compiler
+/// probe and the digest are computed once per process (per compiler
+/// command / include dir).
 std::string cache_stamp();
+
+/// Drop the per-process header digests, so the next cache_stamp() hashes
+/// again — what a new process would see. For tests that edit headers in
+/// place.
+void forget_header_digests();
+
+/// The precompiled glue.hpp, relative to a PCH directory: a directory
+/// placed first on `-I` makes `#include "pygb/jit/glue.hpp"` find it.
+inline constexpr const char* kPchFile = "pygb/jit/glue.hpp.gch";
+
+/// Root of the build-time PCH tree, `<build>/jit_pch` (baked in at build
+/// time; "" when the library was built without one).
+std::string jit_pch_root();
+
+/// `<jit_pch_root()>/<hex64(key_hash(cache_stamp()))>`: where the PCH for
+/// this process's stamp lives, whether or not it was built. A header
+/// edit, compiler change or flag change moves it, so a stale PCH is never
+/// found by name. Built by the pygb_build_pch tool (src/CMakeLists.txt).
+std::string jit_pch_dir();
+
+/// jit_pch_dir() when its kPchFile exists, else "" (compile without).
+std::string active_pch_dir();
 
 /// The stamp a generated module must carry to satisfy `key`: the cache
 /// stamp plus the full dispatch key (so hash collisions are caught even

@@ -282,8 +282,7 @@ struct CompileService::Impl {
       *why = std::string("spawn: ") + std::strerror(so.spawn_errno);
       return false;
     }
-    // Handshake before any request. The deadline also covers the worker's
-    // one-time glue.hpp PCH build, hence the jit-timeout floor.
+    // Handshake before any request, bounded like a compile.
     const int hs_ms = std::max(compiled_timeout_ms(), jit_timeout_ms());
     std::string payload;
     const auto rr = compiled::read_frame(sv[0], &payload,

@@ -49,7 +49,6 @@
 //   PYGB_COMPILED_TIMEOUT_MS   per-request deadline (default
 //                              PYGB_JIT_TIMEOUT_MS)
 //   PYGB_COMPILED_BREAKER_TTL_MS  breaker open duration (60000)
-//   PYGB_COMPILED_PCH          off — skip the glue.hpp precompiled header
 #pragma once
 
 #include <sys/types.h>
@@ -161,7 +160,7 @@ class CompileService {
     int restarts = 0;           ///< lifetime respawns after a failure
     int consecutive_failures = 0;
     pid_t worker_pid = -1;
-    bool pch = false;  ///< worker announced a live precompiled header
+    bool pch = false;  ///< worker compiles with the build-time PCH
   };
   State state();
 

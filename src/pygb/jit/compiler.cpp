@@ -12,6 +12,7 @@
 
 #include "pygb/faultinj.hpp"
 #include "pygb/governor.hpp"
+#include "pygb/jit/cache.hpp"
 #include "pygb/jit/compile_service.hpp"
 #include "pygb/jit/subprocess.hpp"
 #include "pygb/obs/flightrec.hpp"
@@ -49,24 +50,41 @@ std::string render_argv(const std::vector<std::string>& argv) {
   return out;
 }
 
-/// Probe results keyed by what they depend on, so a PYGB_CXX /
-/// PYGB_INCLUDE_DIR change mid-process re-probes (the old once_flag
-/// cached the very first answer forever).
+/// One `<compiler> --version` per compiler command answers both
+/// compiler_available() and compiler_identity(); keyed by the command, so
+/// a PYGB_CXX change mid-process re-probes.
+struct Probe {
+  bool ok = false;
+  std::string identity;  ///< first line of --version, or the command
+};
 std::mutex g_probe_mu;
-std::map<std::string, bool> g_available;       // "<cmd>\x1f<include dir>"
-std::map<std::string, std::string> g_identity;  // "<cmd>"
+std::map<std::string, Probe> g_probes;
 
 /// `<compiler> --version`, argv-based and deadline-bounded: a PYGB_CXX
 /// pointing at a path with spaces probes correctly, and a compiler that
 /// HANGS on --version is classified unavailable instead of wedging the
-/// first dispatch that probes it.
-RunOutcome probe_version(const std::string& command) {
+/// first dispatch that probes it. The lock is held across the probe so
+/// that racing first dispatches share one child.
+const Probe& probe(const std::string& command) {
+  std::lock_guard lock(g_probe_mu);
+  if (auto it = g_probes.find(command); it != g_probes.end()) {
+    return it->second;
+  }
   RunOptions opt;
   opt.argv = split_command(command);
   opt.argv.push_back("--version");
   opt.timeout_ms = 5000;
   opt.capture_stdout = true;
-  return run_subprocess(opt);
+  const RunOutcome ro = run_subprocess(opt);
+  Probe p;
+  p.ok = ro.ok();
+  if (p.ok) p.identity = ro.out.substr(0, ro.out.find('\n'));
+  while (!p.identity.empty() &&
+         (p.identity.back() == '\n' || p.identity.back() == '\r')) {
+    p.identity.pop_back();
+  }
+  if (p.identity.empty()) p.identity = command;  // unprobeable
+  return g_probes.emplace(command, std::move(p)).first->second;
 }
 
 }  // namespace
@@ -138,14 +156,9 @@ CompileResult compile_module(const std::string& source_path,
   }
 
   RunOptions opt;
-  opt.argv = split_command(compiler_command());
-  for (const auto& flag : split_command(compile_flags())) {
-    opt.argv.push_back(flag);
-  }
-  opt.argv.push_back("-I" + source_include_dir());
-  opt.argv.push_back(source_path);
-  opt.argv.push_back("-o");
-  opt.argv.push_back(output_path);
+  opt.argv = module_compile_argv(compiler_command(), compile_flags(),
+                                 source_include_dir(), source_path,
+                                 output_path);
   opt.timeout_ms = timeout_ms;
   opt.mem_limit_mb = jit_mem_limit_mb();
   opt.max_attempts = 1 + jit_max_retries();
@@ -194,38 +207,33 @@ CompileResult compile_module(const std::string& source_path,
 }
 
 bool compiler_available() {
-  const std::string include_dir = source_include_dir();
-  const std::string key = compiler_command() + '\x1f' + include_dir;
-  {
-    std::lock_guard lock(g_probe_mu);
-    if (auto it = g_available.find(key); it != g_available.end()) {
-      return it->second;
-    }
-  }
-  const bool available =
-      probe_version(compiler_command()).ok() && !include_dir.empty();
-  std::lock_guard lock(g_probe_mu);
-  g_available.emplace(key, available);
-  return available;
+  return !source_include_dir().empty() && probe(compiler_command()).ok;
 }
 
-std::string compiler_identity() {
-  const std::string cmd = compiler_command();
-  {
-    std::lock_guard lock(g_probe_mu);
-    if (auto it = g_identity.find(cmd); it != g_identity.end()) {
-      return it->second;
+std::string compiler_identity() { return probe(compiler_command()).identity; }
+
+std::vector<std::string> module_compile_argv(const std::string& cxx,
+                                             const std::string& flags,
+                                             const std::string& include_dir,
+                                             const std::string& source,
+                                             const std::string& output) {
+  std::vector<std::string> argv = split_command(cxx);
+  for (auto& flag : split_command(flags)) argv.push_back(std::move(flag));
+  // The PCH directory is named by this process's stamp, so it only
+  // describes a compile with exactly this process's compiler, flags and
+  // headers; -Winvalid-pch makes a refused PCH show up in the log.
+  if (cxx == compiler_command() && flags == compile_flags() &&
+      include_dir == source_include_dir()) {
+    if (std::string pch = active_pch_dir(); !pch.empty()) {
+      argv.push_back("-Winvalid-pch");
+      argv.push_back("-I" + pch);
     }
   }
-  const RunOutcome ro = probe_version(cmd);
-  std::string line;
-  if (ro.ok()) line = ro.out.substr(0, ro.out.find('\n'));
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-    line.pop_back();
-  }
-  if (line.empty()) line = cmd;  // unprobeable: the command is the identity
-  std::lock_guard lock(g_probe_mu);
-  return g_identity.emplace(cmd, std::move(line)).first->second;
+  argv.push_back("-I" + include_dir);
+  argv.push_back(source);
+  argv.push_back("-o");
+  argv.push_back(output);
+  return argv;
 }
 
 }  // namespace pygb::jit

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 namespace pygb::jit {
 
@@ -32,24 +33,38 @@ struct CompileResult {
 CompileResult compile_module(const std::string& source_path,
                              const std::string& output_path);
 
-/// True when a working C++ compiler is reachable. The probe is cached per
-/// (compiler command, include dir), so changing PYGB_CXX mid-process (as
-/// tests do) re-probes instead of returning a stale answer. The probe
-/// itself is deadline-bounded — a HUNG compiler counts as unavailable
-/// instead of wedging the first dispatch.
+/// True when a working C++ compiler is reachable and an include directory
+/// is known. The `--version` probe is cached per compiler command, so
+/// changing PYGB_CXX mid-process (as tests do) re-probes instead of
+/// returning a stale answer; one probe answers compiler_identity() too.
+/// The probe itself is deadline-bounded — a HUNG compiler counts as
+/// unavailable instead of wedging the first dispatch.
 bool compiler_available();
 
 /// The compiler command used (for diagnostics and bench output).
 std::string compiler_command();
 
 /// First line of `<compiler> --version` — the compiler identity baked
-/// into the cache stamp (see pygb/jit/cache.hpp). Cached per command;
-/// falls back to the command string when the probe fails.
+/// into the cache stamp (see pygb/jit/cache.hpp). Shares
+/// compiler_available()'s probe; falls back to the command string when
+/// the probe fails.
 std::string compiler_identity();
 
 /// The exact flag string passed to the compiler for generated modules —
 /// part of the cache stamp, since flag drift changes module ABI.
 std::string compile_flags();
+
+/// The argv that compiles a generated module: `cxx` and `flags` split on
+/// whitespace, then — when they and `include_dir` are this process's own
+/// and the build-time glue.hpp PCH for its cache stamp exists
+/// (active_pch_dir()) — `-Winvalid-pch -I<pch dir>`, then
+/// `-I<include_dir> <source> -o <output>`. Shared by compile_module and the
+/// compile-service worker, so both compile against the same PCH.
+std::vector<std::string> module_compile_argv(const std::string& cxx,
+                                             const std::string& flags,
+                                             const std::string& include_dir,
+                                             const std::string& source,
+                                             const std::string& output);
 
 /// The include directory holding the project sources that generated
 /// modules compile against (baked in at build time, overridable via

@@ -1,13 +1,16 @@
 #include "pygb/jit/loader.hpp"
 
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <link.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <mutex>
+#include <string_view>
+#include <vector>
 
 #include "gbtl/detail/pool.hpp"
 #include "pygb/faultinj.hpp"
@@ -114,23 +117,39 @@ void register_module(void* handle, void* kernel_sym,
                     khash);
 }
 
-/// True when the file's bytes contain the NUL-terminated stamp payload.
+}  // namespace
+
 /// Verification runs BEFORE dlopen on purpose: an unverified module must
 /// never execute its initializers, and glibc resolves dlopen by path name
 /// against already-loaded objects, so a bad file has to be rejected
 /// without ever being mapped under its path. The trailing NUL makes a
 /// shorter key's stamp unable to match inside a longer key's module.
 bool file_carries_stamp(const std::string& path, const std::string& stamp) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
   std::string needle = std::string(kStampMarker) + stamp;
   needle.push_back('\0');
-  return bytes.find(needle) != std::string::npos;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  // [carry | block]: carry holds the tail of everything read so far that
+  // could still begin a match.
+  const std::size_t keep = needle.size() - 1;
+  std::vector<char> buf(keep + kStampScanBlock);
+  std::size_t have = 0;  // valid bytes at the front of buf
+  bool found = false;
+  while (!found) {
+    const ssize_t n = ::read(fd, buf.data() + have, kStampScanBlock);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    have += static_cast<std::size_t>(n);
+    const std::string_view window(buf.data(), have);
+    found = window.find(needle) != std::string_view::npos;
+    if (have > keep) {
+      std::memmove(buf.data(), buf.data() + have - keep, keep);
+      have = keep;
+    }
+  }
+  ::close(fd);
+  return found;
 }
-
-}  // namespace
 
 KernelFn load_kernel(const std::string& so_path, std::string* error,
                      const std::string& expected_stamp) {

@@ -38,6 +38,16 @@ inline constexpr const char* kModuleKernelLineSymbol =
 KernelFn load_kernel(const std::string& so_path, std::string* error,
                      const std::string& expected_stamp = {});
 
+/// Block size of the pre-dlopen stamp scan.
+inline constexpr std::size_t kStampScanBlock = 64 * 1024;
+
+/// True when the file's bytes contain kStampMarker + `stamp` + NUL. The
+/// file is read in kStampScanBlock blocks through one buffer that keeps
+/// the previous block's last (needle - 1) bytes, so a stamp straddling a
+/// block boundary is found and memory stays bounded whatever the file
+/// size. load_kernel() runs this before dlopen.
+bool file_carries_stamp(const std::string& path, const std::string& stamp);
+
 namespace modmap {
 
 inline constexpr std::size_t kMaxModules = 256;

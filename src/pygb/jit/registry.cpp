@@ -64,6 +64,31 @@ struct Registry::InFlight {
   std::exception_ptr error;
 };
 
+OpRequest StaticEntry::request() const {
+  OpRequest req;
+  req.func = func;
+  req.c = c;
+  req.a = a;
+  req.b = b;
+  req.a_transposed = a_transposed;
+  req.b_transposed = b_transposed;
+  req.mask = mask;
+  if (semiring != nullptr) req.semiring = semiring();
+  if (monoid != nullptr) req.monoid = monoid();
+  if (binary_op != nullptr) req.binary_op = binary_op();
+  if (unary_op != nullptr) req.unary_op = unary_op();
+  if (accum != nullptr) req.accum = accum();
+  return req;
+}
+
+namespace {
+
+std::size_t static_slot_hash(std::string_view key) noexcept {
+  return std::hash<std::string_view>{}(key);
+}
+
+}  // namespace
+
 Registry& Registry::instance() {
   static Registry registry;
   return registry;
@@ -84,7 +109,30 @@ Registry::Registry() {
   if (const char* t = std::getenv("PYGB_TIER"); t != nullptr) {
     set_tier_async(std::string(t) == "async");
   }
-  register_static_kernels(*this);
+
+  std::size_t entries = 0;
+  for (const auto& table : static_kernel_tables()) entries += table.size();
+  if (entries >= 0xffff) throw std::logic_error("pygb: static table too big");
+  static_arena_.reserve(entries * 48);  // keys average ~46 bytes
+  static_keys_.reserve(entries);
+  for (const auto& table : static_kernel_tables()) {
+    for (const StaticEntry& e : table) {
+      const std::string key = e.request().key();
+      static_keys_.push_back({static_cast<std::uint32_t>(static_arena_.size()),
+                              static_cast<std::uint32_t>(key.size()), e.fn});
+      static_arena_ += key;
+    }
+  }
+  std::size_t slots = 1;
+  while (slots < 2 * entries) slots <<= 1;
+  static_slots_.assign(slots, 0);
+  for (std::size_t i = 0; i < static_keys_.size(); ++i) {
+    const StaticKey& k = static_keys_[i];
+    const std::string_view key(static_arena_.data() + k.offset, k.size);
+    std::size_t slot = static_slot_hash(key) & (slots - 1);
+    while (static_slots_[slot] != 0) slot = (slot + 1) & (slots - 1);
+    static_slots_[slot] = static_cast<std::uint16_t>(i + 1);
+  }
 }
 
 Registry::~Registry() {
@@ -94,16 +142,6 @@ Registry::~Registry() {
   }
   tier_cv_.notify_all();
   if (tier_thread_.joinable()) tier_thread_.join();
-}
-
-void Registry::register_static(const std::string& key, KernelFn fn) {
-  std::lock_guard lock(static_mu_);
-  static_table_.emplace(key, fn);
-  // Backend axis: a statically instantiated kernel serves every backend —
-  // the gbtl ops consult the thread's active backend (installed by the
-  // dispatcher's BackendScope) at run time, so the same function pointer
-  // is registered under each non-scalar key spelling too.
-  static_table_.emplace(key + "|be=simd", fn);
 }
 
 std::string Registry::cache_dir() const {
@@ -182,18 +220,30 @@ std::size_t Registry::inflight_count() const {
 }
 
 std::size_t Registry::static_kernel_count() const {
-  std::lock_guard lock(static_mu_);
-  return static_table_.size();
+  return static_keys_.size();
 }
 
 bool Registry::compiler_available() const {
   return pygb::jit::compiler_available();
 }
 
-KernelFn Registry::resolve_static(const std::string& key) const {
-  std::lock_guard lock(static_mu_);
-  auto it = static_table_.find(key);
-  return it == static_table_.end() ? nullptr : it->second;
+KernelFn Registry::resolve_static(std::string_view key) const noexcept {
+  // Backend axis: the backend rides at the end of the key, and a static
+  // kernel serves every backend (the gbtl ops consult the thread's active
+  // backend, installed by the dispatcher's BackendScope, at run time).
+  if (const auto be = key.rfind("|be="); be != std::string_view::npos) {
+    key = key.substr(0, be);
+  }
+  const std::size_t mask = static_slots_.size() - 1;
+  for (std::size_t slot = static_slot_hash(key) & mask;;
+       slot = (slot + 1) & mask) {
+    const std::uint16_t i = static_slots_[slot];
+    if (i == 0) return nullptr;
+    const StaticKey& k = static_keys_[i - 1u];
+    if (std::string_view(static_arena_.data() + k.offset, k.size) == key) {
+      return k.fn;
+    }
+  }
 }
 
 KernelFn Registry::try_load_published(const std::string& so_path,

@@ -48,9 +48,12 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "pygb/jit/breaker.hpp"
 #include "pygb/jit/module_key.hpp"
@@ -109,6 +112,34 @@ struct RegistryStats {
   std::size_t tier_deferred_serves = 0;  ///< served interp while one pended
 };
 
+/// One build-time-instantiated kernel (static backend): the request fields
+/// its dispatch key is made of, with operators as pointers to the built-in
+/// descriptor factories (nullptr = absent), and the kernel. Plain constant
+/// data: the tables in static_kernels*.cpp cost no code and no heap until
+/// the registry builds their keys.
+struct StaticEntry {
+  const char* func = nullptr;  ///< one of the func:: names
+  KernelFn fn = nullptr;
+  Semiring (*semiring)() = nullptr;
+  Monoid (*monoid)() = nullptr;
+  BinaryOp (*binary_op)() = nullptr;
+  UnaryOp (*unary_op)() = nullptr;
+  BinaryOp (*accum)() = nullptr;
+  DType c = DType::kFP64;
+  std::optional<DType> a;
+  std::optional<DType> b;
+  MaskKind mask = MaskKind::kNone;
+  bool a_transposed = false;
+  bool b_transposed = false;
+
+  /// The scalar-backend request this kernel serves.
+  OpRequest request() const;
+};
+
+/// The build-time kernel tables, one constant array per translation unit
+/// (static_kernels*.cpp). Every entry has its own dispatch key.
+std::span<const std::span<const StaticEntry>> static_kernel_tables();
+
 /// How a lookup was satisfied — filled for observability when the caller
 /// passes a ResolveInfo to Registry::get().
 struct ResolveInfo {
@@ -126,9 +157,6 @@ class Registry {
   /// Resolve a kernel for the request, compiling if necessary. `info`
   /// (optional) receives the backend chosen and the dispatch key.
   KernelFn get(const OpRequest& req, ResolveInfo* info = nullptr);
-
-  /// Register a build-time-instantiated kernel (static backend).
-  void register_static(const std::string& key, KernelFn fn);
 
   Mode mode() const noexcept {
     return mode_.load(std::memory_order_relaxed);
@@ -190,7 +218,10 @@ class Registry {
   Registry();
   ~Registry();
 
-  KernelFn resolve_static(const std::string& key) const;
+  /// The static kernel for `key`, whatever its `|be=` backend suffix (a
+  /// static kernel serves every backend: gbtl ops consult the thread's
+  /// active backend at run time), or nullptr.
+  KernelFn resolve_static(std::string_view key) const noexcept;
   KernelFn resolve_jit(const OpRequest& req, const std::string& key,
                        const char** backend);
   /// Disk probe, codegen, g++, dlopen — runs with NO registry lock held.
@@ -223,13 +254,20 @@ class Registry {
   /// Guards memory_cache_, inflight_, and cache_dir_ — never held across
   /// a compile.
   mutable std::mutex mu_;
-  /// Guards static_table_ (registration is normally pre-main/startup, but
-  /// late register_static calls must not race resolve_static).
-  mutable std::mutex static_mu_;
   std::atomic<Mode> mode_{Mode::kAuto};
   std::atomic<bool> fallback_warned_{false};
   std::string cache_dir_;
-  std::unordered_map<std::string, KernelFn> static_table_;
+  // The static backend, immutable once built (no lock): every entry's key
+  // back to back in one arena, and an open-addressed index over them.
+  struct StaticKey {
+    std::uint32_t offset;  ///< into static_arena_
+    std::uint32_t size;
+    KernelFn fn;
+  };
+  std::string static_arena_;
+  std::vector<StaticKey> static_keys_;
+  /// static_keys_ index + 1 per slot; 0 = empty.
+  std::vector<std::uint16_t> static_slots_;
   std::unordered_map<std::string, KernelFn> memory_cache_;
   std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
   /// Per-key build-failure gating (supersedes the old failed_jit_keys_
@@ -248,9 +286,6 @@ class Registry {
   bool tier_started_ = false;
   std::thread tier_thread_;
 };
-
-/// Defined in static_kernels.cpp: instantiate + register the curated set.
-void register_static_kernels(Registry& registry);
 
 /// Defined in interp_kernels.cpp: the generic interpreting kernel.
 KernelFn interp_kernel();

@@ -1,76 +1,57 @@
-// Build-time kernel registration: umbrella + the whole-algorithm kernels.
+// Build-time kernel tables: the umbrella over the per-translation-unit
+// tables, and the descriptor factories their entries point at.
 #include "pygb/jit/static_kernels.hpp"
 
 namespace pygb::jit {
 
-void register_static_kernels(Registry& registry) {
-  static_reg::register_mxm(registry);
-  static_reg::register_mxv_vxm(registry);
-  static_reg::register_ewise(registry);
-  static_reg::register_apply_reduce(registry);
-  static_reg::register_assign_extract(registry);
-  static_reg::register_algorithms(registry);
+std::span<const std::span<const StaticEntry>> static_kernel_tables() {
+  static const std::span<const StaticEntry> tables[] = {
+      static_reg::mxm_entries,          static_reg::mxv_vxm_entries,
+      static_reg::ewise_entries,        static_reg::apply_reduce_entries,
+      static_reg::assign_extract_entries, static_reg::algorithm_entries,
+  };
+  return tables;
 }
 
 namespace static_reg {
 
-namespace {
-
-template <typename CT, typename AT>
-void reg_algos(Registry& r) {
-  {
-    OpRequest req;
-    req.func = func::kAlgoBfs;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    req.b = DType::kBool;
-    r.register_static(req.key(), &run_algo_bfs<CT, AT>);
-  }
-  {
-    OpRequest req;
-    req.func = func::kAlgoTriangleCount;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    r.register_static(req.key(), &run_algo_tc<CT, AT>);
-  }
-  {
-    OpRequest req;
-    req.func = func::kAlgoConnectedComponents;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    r.register_static(req.key(), &run_algo_cc<CT, AT>);
-  }
+template <pygb::BinaryOpName Op>
+pygb::BinaryOp binary_op() {
+  return pygb::BinaryOp(Op);
 }
 
-template <typename CT, typename AT>
-void reg_float_algos(Registry& r) {
-  {
-    OpRequest req;
-    req.func = func::kAlgoSssp;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    r.register_static(req.key(), &run_algo_sssp<CT, AT>);
-  }
-  {
-    OpRequest req;
-    req.func = func::kAlgoPagerank;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    r.register_static(req.key(), &run_algo_pagerank<CT, AT>);
-  }
+template <pygb::UnaryOpName Op>
+pygb::UnaryOp unary_op() {
+  return pygb::UnaryOp(Op);
 }
 
-}  // namespace
-
-void register_algorithms(Registry& r) {
-  reg_algos<std::int64_t, double>(r);
-  reg_algos<std::int64_t, std::int64_t>(r);
-  reg_algos<std::int64_t, bool>(r);
-  reg_algos<std::int32_t, double>(r);
-  reg_float_algos<double, double>(r);
-  reg_float_algos<double, std::int64_t>(r);
-  reg_float_algos<float, float>(r);
+template <pygb::BinaryOpName Op, pygb::DType Channel>
+pygb::UnaryOp bound_op() {
+  return pygb::UnaryOp(Op, pygb::Scalar(0.0, Channel));
 }
+
+using B = pygb::BinaryOpName;
+using U = pygb::UnaryOpName;
+using D = pygb::DType;
+
+template pygb::BinaryOp binary_op<B::kPlus>();
+template pygb::BinaryOp binary_op<B::kMinus>();
+template pygb::BinaryOp binary_op<B::kTimes>();
+template pygb::BinaryOp binary_op<B::kMin>();
+template pygb::BinaryOp binary_op<B::kMax>();
+template pygb::BinaryOp binary_op<B::kSecond>();
+template pygb::BinaryOp binary_op<B::kLogicalOr>();
+template pygb::BinaryOp binary_op<B::kLogicalAnd>();
+template pygb::UnaryOp unary_op<U::kIdentity>();
+template pygb::UnaryOp unary_op<U::kAdditiveInverse>();
+template pygb::UnaryOp unary_op<U::kMultiplicativeInverse>();
+template pygb::UnaryOp unary_op<U::kLogicalNot>();
+template pygb::UnaryOp bound_op<B::kTimes, D::kFP64>();
+template pygb::UnaryOp bound_op<B::kTimes, D::kInt64>();
+template pygb::UnaryOp bound_op<B::kPlus, D::kFP64>();
+template pygb::UnaryOp bound_op<B::kPlus, D::kInt64>();
+template pygb::UnaryOp bound_op<B::kMinus, D::kFP64>();
+template pygb::UnaryOp bound_op<B::kDiv, D::kFP64>();
 
 }  // namespace static_reg
 

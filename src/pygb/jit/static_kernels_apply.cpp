@@ -1,4 +1,4 @@
-// Build-time registrations: apply (plain + bound unary ops) and reduce.
+// Build-time kernel table: apply (plain + bound unary ops) and reduce.
 #include "pygb/jit/static_kernels.hpp"
 
 namespace pygb::jit::static_reg {
@@ -8,7 +8,8 @@ namespace {
 // Unary-op specs: descriptor + glue op-maker.
 #define PYGB_UOP_SPEC(NAME)                                              \
   struct Uop##NAME {                                                     \
-    static pygb::UnaryOp descriptor() { return pygb::UnaryOp(#NAME); }   \
+    static constexpr pygb::UnaryOp (*descriptor)() =                     \
+        &unary_op<pygb::UnaryOpName::k##NAME>;                           \
     using maker = PlainUnary<gbtl::NAME>;                                \
   };
 PYGB_UOP_SPEC(Identity)
@@ -18,149 +19,128 @@ PYGB_UOP_SPEC(LogicalNot)
 #undef PYGB_UOP_SPEC
 
 // Bound (bind-2nd) unary specs: the bound value travels at run time; only
-// its dtype channel enters the key. Register for both channels.
+// its dtype channel enters the key, so there is one descriptor per channel.
 #define PYGB_BOUND_SPEC(NAME)                                            \
   struct Bound##NAME {                                                   \
-    static pygb::UnaryOp descriptor(pygb::DType channel) {               \
-      return pygb::UnaryOp(pygb::BinaryOpName::k##NAME,                  \
-                           pygb::Scalar(0.0, channel));                  \
-    }                                                                    \
+    template <pygb::DType Channel>                                       \
+    static constexpr pygb::UnaryOp (*descriptor)() =                     \
+        &bound_op<pygb::BinaryOpName::k##NAME, Channel>;                 \
     using maker = BoundSecond<gbtl::NAME>;                               \
   };
 PYGB_BOUND_SPEC(Times)
 PYGB_BOUND_SPEC(Plus)
 PYGB_BOUND_SPEC(Minus)
 PYGB_BOUND_SPEC(Div)
-PYGB_BOUND_SPEC(Max)
-PYGB_BOUND_SPEC(Min)
 #undef PYGB_BOUND_SPEC
 
-/// Register apply_m and apply_v across the three mask kinds each.
-template <typename CT, typename AT, typename Spec, typename Acc>
-void reg_apply_all(Registry& r, const pygb::UnaryOp& desc) {
-  auto reg_m = [&]<MaskKind MK>() {
-    OpRequest req;
-    req.func = func::kApplyM;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    req.mask = MK;
-    req.unary_op = desc;
-    req.accum = Acc::descriptor();
-    r.register_static(req.key(),
-                      &run_apply_m<CT, AT, typename Spec::maker, false, MK,
-                                   typename Acc::template type<CT>>);
-  };
-  auto reg_v = [&]<MaskKind MK>() {
-    OpRequest req;
-    req.func = func::kApplyV;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    req.mask = MK;
-    req.unary_op = desc;
-    req.accum = Acc::descriptor();
-    r.register_static(req.key(),
-                      &run_apply_v<CT, AT, typename Spec::maker, MK,
-                                   typename Acc::template type<CT>>);
-  };
-  reg_m.template operator()<MaskKind::kNone>();
-  reg_m.template operator()<MaskKind::kMatrix>();
-  reg_m.template operator()<MaskKind::kMatrixComp>();
-  reg_v.template operator()<MaskKind::kNone>();
-  reg_v.template operator()<MaskKind::kVector>();
-  reg_v.template operator()<MaskKind::kVectorComp>();
+template <typename T, typename Spec, pygb::UnaryOp (*Desc)(), MaskKind MK>
+constexpr StaticEntry apply_m_one() {
+  return {.func = func::kApplyM,
+          .fn = &run_apply_m<T, T, typename Spec::maker, false, MK,
+                             gbtl::NoAccumulate>,
+          .unary_op = Desc,
+          .c = dtype_of<T>(),
+          .a = dtype_of<T>(),
+          .mask = MK};
 }
 
-template <typename CT, typename AT, typename Mon, typename Acc>
-void reg_reduce(Registry& r) {
-  {
-    OpRequest req;
-    req.func = func::kReduceMS;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    req.monoid = Mon::descriptor();
-    req.accum = Acc::descriptor();
-    r.register_static(
-        req.key(),
-        &run_reduce_m_s<CT, AT, typename Mon::template type<CT>, false,
-                        typename Acc::template type<CT>>);
-  }
-  {
-    OpRequest req;
-    req.func = func::kReduceVS;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    req.monoid = Mon::descriptor();
-    req.accum = Acc::descriptor();
-    r.register_static(
-        req.key(),
-        &run_reduce_v_s<CT, AT, typename Mon::template type<CT>,
-                        typename Acc::template type<CT>>);
-  }
-  {
-    OpRequest req;
-    req.func = func::kReduceMV;
-    req.c = dtype_of<CT>();
-    req.a = dtype_of<AT>();
-    req.monoid = Mon::descriptor();
-    req.accum = Acc::descriptor();
-    req.mask = MaskKind::kNone;
-    r.register_static(
-        req.key(),
-        &run_reduce_m_v<CT, AT, typename Mon::template type<CT>, false,
-                        MaskKind::kNone, typename Acc::template type<CT>>);
-    req.mask = MaskKind::kVector;
-    r.register_static(
-        req.key(),
-        &run_reduce_m_v<CT, AT, typename Mon::template type<CT>, false,
-                        MaskKind::kVector, typename Acc::template type<CT>>);
-    req.mask = MaskKind::kVectorComp;
-    r.register_static(
-        req.key(),
-        &run_reduce_m_v<CT, AT, typename Mon::template type<CT>, false,
-                        MaskKind::kVectorComp,
-                        typename Acc::template type<CT>>);
-  }
+template <typename T, typename Spec, pygb::UnaryOp (*Desc)(), MaskKind MK>
+constexpr StaticEntry apply_v_one() {
+  return {.func = func::kApplyV,
+          .fn = &run_apply_v<T, T, typename Spec::maker, MK,
+                             gbtl::NoAccumulate>,
+          .unary_op = Desc,
+          .c = dtype_of<T>(),
+          .a = dtype_of<T>(),
+          .mask = MK};
 }
+
+/// apply_m and apply_v across the three mask kinds each, no accumulator.
+template <typename T, typename Spec, pygb::UnaryOp (*Desc)()>
+constexpr std::array<StaticEntry, 6> apply_all() {
+  return {apply_m_one<T, Spec, Desc, MaskKind::kNone>(),
+          apply_m_one<T, Spec, Desc, MaskKind::kMatrix>(),
+          apply_m_one<T, Spec, Desc, MaskKind::kMatrixComp>(),
+          apply_v_one<T, Spec, Desc, MaskKind::kNone>(),
+          apply_v_one<T, Spec, Desc, MaskKind::kVector>(),
+          apply_v_one<T, Spec, Desc, MaskKind::kVectorComp>()};
+}
+
+template <typename T, typename Spec>
+constexpr auto apply_plain() {
+  return apply_all<T, Spec, Spec::descriptor>();
+}
+
+template <typename T, typename Spec, pygb::DType Channel>
+constexpr auto apply_bound() {
+  return apply_all<T, Spec, Spec::template descriptor<Channel>>();
+}
+
+template <typename T, typename Mon, typename Acc>
+constexpr StaticEntry reduce_one(const char* f, KernelFn fn, MaskKind mk) {
+  return {.func = f,
+          .fn = fn,
+          .monoid = Mon::descriptor,
+          .accum = Acc::descriptor,
+          .c = dtype_of<T>(),
+          .a = dtype_of<T>(),
+          .mask = mk};
+}
+
+template <typename T, typename Mon, typename Acc>
+constexpr std::array<StaticEntry, 5> reduce_all() {
+  using M = typename Mon::template type<T>;
+  using A = typename Acc::template type<T>;
+  return {
+      reduce_one<T, Mon, Acc>(func::kReduceMS,
+                              &run_reduce_m_s<T, T, M, false, A>,
+                              MaskKind::kNone),
+      reduce_one<T, Mon, Acc>(func::kReduceVS, &run_reduce_v_s<T, T, M, A>,
+                              MaskKind::kNone),
+      reduce_one<T, Mon, Acc>(
+          func::kReduceMV,
+          &run_reduce_m_v<T, T, M, false, MaskKind::kNone, A>,
+          MaskKind::kNone),
+      reduce_one<T, Mon, Acc>(
+          func::kReduceMV,
+          &run_reduce_m_v<T, T, M, false, MaskKind::kVector, A>,
+          MaskKind::kVector),
+      reduce_one<T, Mon, Acc>(
+          func::kReduceMV,
+          &run_reduce_m_v<T, T, M, false, MaskKind::kVectorComp, A>,
+          MaskKind::kVectorComp)};
+}
+
+constexpr auto kTable = cat(
+    for_types(DtCore{},
+              []<typename T>() {
+                return cat(
+                    apply_plain<T, UopIdentity>(),
+                    apply_plain<T, UopAdditiveInverse>(),
+                    apply_plain<T, UopLogicalNot>(),
+                    // Bound ops for both scalar channels (int and float
+                    // constants).
+                    apply_bound<T, BoundTimes, DType::kFP64>(),
+                    apply_bound<T, BoundTimes, DType::kInt64>(),
+                    apply_bound<T, BoundPlus, DType::kFP64>(),
+                    apply_bound<T, BoundPlus, DType::kInt64>(),
+                    apply_bound<T, BoundMinus, DType::kFP64>(),
+                    reduce_all<T, MonPlus, AccNone>(),
+                    reduce_all<T, MonMin, AccNone>(),
+                    reduce_all<T, MonMax, AccNone>(),
+                    reduce_all<T, MonPlus, AccPlus>());
+              }),
+    for_types(TypeList<double, float>{},
+              []<typename T>() {
+                return cat(apply_plain<T, UopMultiplicativeInverse>(),
+                           apply_bound<T, BoundDiv, DType::kFP64>());
+              }),
+    // Plain reduce for the wide dtypes (cheap kernels).
+    for_types(DtWideRest{},
+              []<typename T>() { return reduce_all<T, MonPlus, AccNone>(); }));
 
 }  // namespace
 
-void register_apply_reduce(Registry& r) {
-  for_types(DtCore{}, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    reg_apply_all<T, T, UopIdentity, AccNone>(r, UopIdentity::descriptor());
-    reg_apply_all<T, T, UopAdditiveInverse, AccNone>(
-        r, UopAdditiveInverse::descriptor());
-    reg_apply_all<T, T, UopLogicalNot, AccNone>(r,
-                                                UopLogicalNot::descriptor());
-    // Bound ops for both scalar channels (int and float constants).
-    reg_apply_all<T, T, BoundTimes, AccNone>(
-        r, BoundTimes::descriptor(DType::kFP64));
-    reg_apply_all<T, T, BoundTimes, AccNone>(
-        r, BoundTimes::descriptor(DType::kInt64));
-    reg_apply_all<T, T, BoundPlus, AccNone>(
-        r, BoundPlus::descriptor(DType::kFP64));
-    reg_apply_all<T, T, BoundPlus, AccNone>(
-        r, BoundPlus::descriptor(DType::kInt64));
-    reg_apply_all<T, T, BoundMinus, AccNone>(
-        r, BoundMinus::descriptor(DType::kFP64));
-
-    reg_reduce<T, T, MonPlus, AccNone>(r);
-    reg_reduce<T, T, MonMin, AccNone>(r);
-    reg_reduce<T, T, MonMax, AccNone>(r);
-    reg_reduce<T, T, MonPlus, AccPlus>(r);
-  });
-  for_types(TypeList<double, float>{}, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    reg_apply_all<T, T, UopMultiplicativeInverse, AccNone>(
-        r, UopMultiplicativeInverse::descriptor());
-    reg_apply_all<T, T, BoundDiv, AccNone>(
-        r, BoundDiv::descriptor(DType::kFP64));
-  });
-  // Wide plain coverage for reduce-to-scalar (cheap kernels).
-  for_types(DtWide{}, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    reg_reduce<T, T, MonPlus, AccNone>(r);
-  });
-}
+const std::span<const StaticEntry> apply_reduce_entries{kTable};
 
 }  // namespace pygb::jit::static_reg

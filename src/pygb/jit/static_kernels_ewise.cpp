@@ -1,89 +1,84 @@
-// Build-time registrations: eWiseAdd / eWiseMult, matrix and vector forms.
+// Build-time kernel table: eWiseAdd / eWiseMult, matrix and vector forms.
 #include "pygb/jit/static_kernels.hpp"
 
 namespace pygb::jit::static_reg {
 
 namespace {
 
-template <typename CT, typename AT, typename BT, typename Bop, bool IsAdd,
-          typename Acc, MaskKind MK>
-void reg_ewise_mm_one(Registry& r) {
-  OpRequest req;
-  req.func = IsAdd ? func::kEWiseAddMM : func::kEWiseMultMM;
-  req.c = dtype_of<CT>();
-  req.a = dtype_of<AT>();
-  req.b = dtype_of<BT>();
-  req.mask = MK;
-  req.binary_op = Bop::descriptor();
-  req.accum = Acc::descriptor();
-  r.register_static(
-      req.key(),
-      &run_ewise_mm<CT, AT, BT, Bop::template type, IsAdd, false, false, MK,
-                    typename Acc::template type<CT>>);
+template <typename T, typename Bop, bool IsAdd, typename Acc, MaskKind MK>
+constexpr StaticEntry ewise_mm_one() {
+  return {.func = IsAdd ? func::kEWiseAddMM : func::kEWiseMultMM,
+          .fn = &run_ewise_mm<T, T, T, Bop::template type, IsAdd, false,
+                              false, MK, typename Acc::template type<T>>,
+          .binary_op = Bop::descriptor,
+          .accum = Acc::descriptor,
+          .c = dtype_of<T>(),
+          .a = dtype_of<T>(),
+          .b = dtype_of<T>(),
+          .mask = MK};
 }
 
-template <typename CT, typename AT, typename BT, typename Bop, bool IsAdd,
-          typename Acc, MaskKind MK>
-void reg_ewise_vv_one(Registry& r) {
-  OpRequest req;
-  req.func = IsAdd ? func::kEWiseAddVV : func::kEWiseMultVV;
-  req.c = dtype_of<CT>();
-  req.a = dtype_of<AT>();
-  req.b = dtype_of<BT>();
-  req.mask = MK;
-  req.binary_op = Bop::descriptor();
-  req.accum = Acc::descriptor();
-  r.register_static(
-      req.key(),
-      &run_ewise_vv<CT, AT, BT, Bop::template type, IsAdd, MK,
-                    typename Acc::template type<CT>>);
+template <typename T, typename Bop, bool IsAdd, typename Acc, MaskKind MK>
+constexpr StaticEntry ewise_vv_one() {
+  return {.func = IsAdd ? func::kEWiseAddVV : func::kEWiseMultVV,
+          .fn = &run_ewise_vv<T, T, T, Bop::template type, IsAdd, MK,
+                              typename Acc::template type<T>>,
+          .binary_op = Bop::descriptor,
+          .accum = Acc::descriptor,
+          .c = dtype_of<T>(),
+          .a = dtype_of<T>(),
+          .b = dtype_of<T>(),
+          .mask = MK};
 }
 
 template <typename T, typename Bop, typename Acc>
-void reg_ewise_all_masks(Registry& r) {
-  reg_ewise_mm_one<T, T, T, Bop, true, Acc, MaskKind::kNone>(r);
-  reg_ewise_mm_one<T, T, T, Bop, true, Acc, MaskKind::kMatrix>(r);
-  reg_ewise_mm_one<T, T, T, Bop, true, Acc, MaskKind::kMatrixComp>(r);
-  reg_ewise_mm_one<T, T, T, Bop, false, Acc, MaskKind::kNone>(r);
-  reg_ewise_mm_one<T, T, T, Bop, false, Acc, MaskKind::kMatrix>(r);
-  reg_ewise_mm_one<T, T, T, Bop, false, Acc, MaskKind::kMatrixComp>(r);
-  reg_ewise_vv_one<T, T, T, Bop, true, Acc, MaskKind::kNone>(r);
-  reg_ewise_vv_one<T, T, T, Bop, true, Acc, MaskKind::kVector>(r);
-  reg_ewise_vv_one<T, T, T, Bop, true, Acc, MaskKind::kVectorComp>(r);
-  reg_ewise_vv_one<T, T, T, Bop, false, Acc, MaskKind::kNone>(r);
-  reg_ewise_vv_one<T, T, T, Bop, false, Acc, MaskKind::kVector>(r);
-  reg_ewise_vv_one<T, T, T, Bop, false, Acc, MaskKind::kVectorComp>(r);
+constexpr std::array<StaticEntry, 12> ewise_all_masks() {
+  return {ewise_mm_one<T, Bop, true, Acc, MaskKind::kNone>(),
+          ewise_mm_one<T, Bop, true, Acc, MaskKind::kMatrix>(),
+          ewise_mm_one<T, Bop, true, Acc, MaskKind::kMatrixComp>(),
+          ewise_mm_one<T, Bop, false, Acc, MaskKind::kNone>(),
+          ewise_mm_one<T, Bop, false, Acc, MaskKind::kMatrix>(),
+          ewise_mm_one<T, Bop, false, Acc, MaskKind::kMatrixComp>(),
+          ewise_vv_one<T, Bop, true, Acc, MaskKind::kNone>(),
+          ewise_vv_one<T, Bop, true, Acc, MaskKind::kVector>(),
+          ewise_vv_one<T, Bop, true, Acc, MaskKind::kVectorComp>(),
+          ewise_vv_one<T, Bop, false, Acc, MaskKind::kNone>(),
+          ewise_vv_one<T, Bop, false, Acc, MaskKind::kVector>(),
+          ewise_vv_one<T, Bop, false, Acc, MaskKind::kVectorComp>()};
 }
 
 template <typename T, typename Bop>
-void reg_ewise_plain(Registry& r) {
-  reg_ewise_mm_one<T, T, T, Bop, true, AccNone, MaskKind::kNone>(r);
-  reg_ewise_mm_one<T, T, T, Bop, false, AccNone, MaskKind::kNone>(r);
-  reg_ewise_vv_one<T, T, T, Bop, true, AccNone, MaskKind::kNone>(r);
-  reg_ewise_vv_one<T, T, T, Bop, false, AccNone, MaskKind::kNone>(r);
+constexpr std::array<StaticEntry, 4> ewise_plain() {
+  return {ewise_mm_one<T, Bop, true, AccNone, MaskKind::kNone>(),
+          ewise_mm_one<T, Bop, false, AccNone, MaskKind::kNone>(),
+          ewise_vv_one<T, Bop, true, AccNone, MaskKind::kNone>(),
+          ewise_vv_one<T, Bop, false, AccNone, MaskKind::kNone>()};
 }
+
+constexpr auto kTable = cat(
+    for_types(DtCore{},
+              []<typename T>() {
+                return cat(ewise_all_masks<T, BopPlus, AccNone>(),
+                           ewise_all_masks<T, BopMinus, AccNone>(),
+                           ewise_all_masks<T, BopTimes, AccNone>(),
+                           ewise_all_masks<T, BopMin, AccNone>(),
+                           ewise_all_masks<T, BopMax, AccNone>());
+              }),
+    // Unmasked Plus/Times/Min for the wide dtypes.
+    for_types(DtWideRest{},
+              []<typename T>() {
+                return cat(ewise_plain<T, BopPlus>(),
+                           ewise_plain<T, BopTimes>(),
+                           ewise_plain<T, BopMin>());
+              }),
+    for_types(DtWide{},
+              []<typename T>() {
+                return cat(ewise_plain<T, BopLogicalOr>(),
+                           ewise_plain<T, BopLogicalAnd>());
+              }));
 
 }  // namespace
 
-void register_ewise(Registry& r) {
-  for_types(DtCore{}, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    reg_ewise_all_masks<T, BopPlus, AccNone>(r);
-    reg_ewise_all_masks<T, BopMinus, AccNone>(r);
-    reg_ewise_all_masks<T, BopTimes, AccNone>(r);
-    reg_ewise_all_masks<T, BopMin, AccNone>(r);
-    reg_ewise_all_masks<T, BopMax, AccNone>(r);
-    // Accumulating variants, unmasked.
-    reg_ewise_plain<T, BopPlus>(r);  // idempotent re-register is harmless
-  });
-  for_types(DtWide{}, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    reg_ewise_plain<T, BopPlus>(r);
-    reg_ewise_plain<T, BopTimes>(r);
-    reg_ewise_plain<T, BopMin>(r);
-    reg_ewise_plain<T, BopLogicalOr>(r);
-    reg_ewise_plain<T, BopLogicalAnd>(r);
-  });
-}
+const std::span<const StaticEntry> ewise_entries{kTable};
 
 }  // namespace pygb::jit::static_reg

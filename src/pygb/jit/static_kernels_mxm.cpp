@@ -1,58 +1,57 @@
-// Build-time registrations: mxm.
+// Build-time kernel table: mxm.
 #include "pygb/jit/static_kernels.hpp"
 
 namespace pygb::jit::static_reg {
 
 namespace {
 
-template <typename CT, typename AT, typename BT, typename Sr, typename Acc,
-          bool ATr, bool BTr, MaskKind MK>
-void reg_mxm_one(Registry& r) {
-  OpRequest req;
-  req.func = func::kMxM;
-  req.c = dtype_of<CT>();
-  req.a = dtype_of<AT>();
-  req.b = dtype_of<BT>();
-  req.a_transposed = ATr;
-  req.b_transposed = BTr;
-  req.mask = MK;
-  req.semiring = Sr::descriptor();
-  req.accum = Acc::descriptor();
-  r.register_static(
-      req.key(),
-      &run_mxm<CT, AT, BT, typename Sr::template type<AT, BT, CT>, ATr, BTr,
-               MK, typename Acc::template type<CT>>);
+template <typename T, typename Sr, typename Acc, bool ATr, bool BTr,
+          MaskKind MK>
+constexpr StaticEntry mxm_one() {
+  return {.func = func::kMxM,
+          .fn = &run_mxm<T, T, T, typename Sr::template type<T, T, T>, ATr,
+                         BTr, MK, typename Acc::template type<T>>,
+          .semiring = Sr::descriptor,
+          .accum = Acc::descriptor,
+          .c = dtype_of<T>(),
+          .a = dtype_of<T>(),
+          .b = dtype_of<T>(),
+          .mask = MK,
+          .a_transposed = ATr,
+          .b_transposed = BTr};
 }
 
 template <typename T, typename Sr, typename Acc, bool ATr, bool BTr>
-void reg_mxm_masks(Registry& r) {
-  reg_mxm_one<T, T, T, Sr, Acc, ATr, BTr, MaskKind::kNone>(r);
-  reg_mxm_one<T, T, T, Sr, Acc, ATr, BTr, MaskKind::kMatrix>(r);
-  reg_mxm_one<T, T, T, Sr, Acc, ATr, BTr, MaskKind::kMatrixComp>(r);
+constexpr std::array<StaticEntry, 3> mxm_masks() {
+  return {mxm_one<T, Sr, Acc, ATr, BTr, MaskKind::kNone>(),
+          mxm_one<T, Sr, Acc, ATr, BTr, MaskKind::kMatrix>(),
+          mxm_one<T, Sr, Acc, ATr, BTr, MaskKind::kMatrixComp>()};
 }
 
 template <typename T, typename Sr, typename Acc>
-void reg_mxm_trans(Registry& r) {
-  reg_mxm_masks<T, Sr, Acc, false, false>(r);
-  reg_mxm_masks<T, Sr, Acc, false, true>(r);
-  reg_mxm_masks<T, Sr, Acc, true, false>(r);
+constexpr auto mxm_trans() {
+  return cat(mxm_masks<T, Sr, Acc, false, false>(),
+             mxm_masks<T, Sr, Acc, false, true>(),
+             mxm_masks<T, Sr, Acc, true, false>());
 }
+
+constexpr auto kTable = cat(
+    for_types(DtCore{},
+              []<typename T>() {
+                return cat(mxm_trans<T, SrArithmetic, AccNone>(),
+                           mxm_trans<T, SrLogical, AccNone>(),
+                           mxm_trans<T, SrMinPlus, AccNone>(),
+                           // Accumulating mxm (merge into prior product) on
+                           // the arithmetic ring.
+                           mxm_masks<T, SrArithmetic, AccPlus, false, false>());
+              }),
+    // int32 homogeneous without transpose variants (tests/examples).
+    mxm_masks<std::int32_t, SrArithmetic, AccNone, false, false>(),
+    mxm_masks<std::int32_t, SrArithmetic, AccNone, false, true>(),
+    mxm_masks<float, SrArithmetic, AccNone, false, false>());
 
 }  // namespace
 
-void register_mxm(Registry& r) {
-  for_types(DtCore{}, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    reg_mxm_trans<T, SrArithmetic, AccNone>(r);
-    reg_mxm_trans<T, SrLogical, AccNone>(r);
-    reg_mxm_trans<T, SrMinPlus, AccNone>(r);
-    // Accumulating mxm (merge into prior product) on the arithmetic ring.
-    reg_mxm_masks<T, SrArithmetic, AccPlus, false, false>(r);
-  });
-  // int32 homogeneous without transpose variants (tests/examples).
-  reg_mxm_masks<std::int32_t, SrArithmetic, AccNone, false, false>(r);
-  reg_mxm_masks<std::int32_t, SrArithmetic, AccNone, false, true>(r);
-  reg_mxm_masks<float, SrArithmetic, AccNone, false, false>(r);
-}
+const std::span<const StaticEntry> mxm_entries{kTable};
 
 }  // namespace pygb::jit::static_reg

@@ -11,6 +11,7 @@
 #include <poll.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -42,6 +43,22 @@ int ms_until(Clock::time_point deadline) {
                         deadline - Clock::now())
                         .count();
   return left < 0 ? 0 : static_cast<int>(left);
+}
+
+/// Poll floor when no pidfd is available: waitpid(WNOHANG) is then the
+/// only way to notice the child's exit once its pipes have closed.
+constexpr int kFallbackPollMs = 2;
+
+/// A close-on-exec fd that becomes readable when `pid` exits, or -1
+/// (kernels before 5.3, seccomp filters). Called right after fork, before
+/// any wait, so the pid cannot have been reaped and reused yet.
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
 }
 
 /// Drain whatever is readable on fd into out (respecting the cap).
@@ -247,6 +264,9 @@ void run_once(const RunOptions& options, RunOutcome& outcome) {
   set_nonblocking(err_r);
   if (out_r >= 0) set_nonblocking(out_r);
   set_nonblocking(status_r);
+  // The pipes can reach EOF before the child is reapable; the pidfd is
+  // what wakes the poll below when it is.
+  const int pid_fd = open_pidfd(pid);
 
   const bool bounded = options.timeout_ms > 0;
   const auto deadline =
@@ -285,17 +305,23 @@ void run_once(const RunOptions& options, RunOutcome& outcome) {
       break;
     }
 
-    struct pollfd fds[3];
+    struct pollfd fds[4];
     nfds_t nfds = 0;
     if (err_r >= 0) fds[nfds++] = {err_r, POLLIN, 0};
     if (out_r >= 0) fds[nfds++] = {out_r, POLLIN, 0};
     if (status_r >= 0) fds[nfds++] = {status_r, POLLIN, 0};
+    if (pid_fd >= 0) fds[nfds++] = {pid_fd, POLLIN, 0};
 
-    int wait_ms = 50;  // floor so waitpid(WNOHANG) stays responsive
+    // Sleep until output, exit, or the next deadline step. Without a
+    // pidfd only waitpid(WNOHANG) sees the exit, so keep a short floor.
+    int wait_ms = pid_fd >= 0 ? -1 : kFallbackPollMs;
+    auto cap = [&wait_ms](int ms) {
+      wait_ms = wait_ms < 0 ? ms : std::min(wait_ms, ms);
+    };
     if (term_sent && !kill_sent) {
-      wait_ms = std::min(wait_ms, std::max(1, ms_until(kill_at)));
+      cap(std::max(1, ms_until(kill_at)));
     } else if (bounded && !term_sent) {
-      wait_ms = std::min(wait_ms, std::max(1, ms_until(deadline)));
+      cap(std::max(1, ms_until(deadline)));
     }
     if (nfds == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
@@ -303,7 +329,7 @@ void run_once(const RunOptions& options, RunOutcome& outcome) {
     }
     const int pr = ::poll(fds, nfds, wait_ms);
     if (pr < 0 && errno != EINTR) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kFallbackPollMs));
       continue;
     }
     for (nfds_t i = 0; pr > 0 && i < nfds; ++i) {
@@ -323,6 +349,8 @@ void run_once(const RunOptions& options, RunOutcome& outcome) {
       }
     }
   }
+
+  if (pid_fd >= 0) ::close(pid_fd);
 
   // The child is gone; drain what it wrote before dying. A grandchild
   // holding the pipe open cannot stall us: these fds are non-blocking.

@@ -4,6 +4,8 @@
 // results across random graphs (parameterized over seeds and sizes).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "algorithms/bfs.hpp"
 #include "algorithms/dsl_algorithms.hpp"
 #include "algorithms/pagerank.hpp"
@@ -17,7 +19,10 @@ using namespace pygb;  // NOLINT
 
 struct GraphCase {
   gbtl::IndexType n;
-  unsigned seed;
+  // 64-bit, as gen::paper_graph takes it, so the struct has no padding:
+  // gtest prints the parameter byte by byte into the test names, and
+  // padding would put stack garbage there.
+  std::uint64_t seed;
 };
 
 class ThreeTier : public ::testing::TestWithParam<GraphCase> {

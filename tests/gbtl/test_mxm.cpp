@@ -117,6 +117,10 @@ struct MxmCase {
   double fill_a;
   double fill_b;
   unsigned seed;
+  // gtest names each case from a byte dump of the parameter, so the
+  // padding is spelled out and zeroed: left implicit it holds stack
+  // garbage and the test names change from one build to the next.
+  unsigned pad = 0;
 };
 
 class MxmRandom : public ::testing::TestWithParam<MxmCase> {};

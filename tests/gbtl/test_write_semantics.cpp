@@ -4,6 +4,7 @@
 // combination of C and T.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 
 #include "gbtl/detail/write_backend.hpp"
@@ -20,6 +21,10 @@ struct WriteCase {
   MaskMode mask;
   AccumMode accum;
   OutputControl outp;
+  // gtest names each case from a byte dump of the parameter, so the
+  // padding is spelled out and zeroed: left implicit it holds stack
+  // garbage and the test names change from one build to the next.
+  std::uint8_t pad[3] = {};
 };
 
 /// Dense model of the discipline for one position.

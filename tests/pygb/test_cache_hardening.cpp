@@ -11,11 +11,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "pygb/jit/cache.hpp"
 #include "pygb/jit/codegen.hpp"
 #include "pygb/jit/compiler.hpp"
+#include "pygb/jit/loader.hpp"
+#include "pygb/jit/subprocess.hpp"
 #include "pygb/pygb.hpp"
 
 namespace {
@@ -42,6 +46,27 @@ void write_file(const fs::path& path, const std::string& text) {
 void make_executable(const fs::path& path) {
   ::chmod(path.c_str(), 0755);
 }
+
+/// PYGB_INCLUDE_DIR for one test body; restores it (and drops the header
+/// digests hashed meanwhile) on the way out, failed assertions included.
+class IncludeDirGuard {
+ public:
+  explicit IncludeDirGuard(const std::string& dir) {
+    if (const char* old = std::getenv("PYGB_INCLUDE_DIR")) old_ = old;
+    ::setenv("PYGB_INCLUDE_DIR", dir.c_str(), 1);
+  }
+  ~IncludeDirGuard() {
+    if (old_) {
+      ::setenv("PYGB_INCLUDE_DIR", old_->c_str(), 1);
+    } else {
+      ::unsetenv("PYGB_INCLUDE_DIR");
+    }
+    forget_header_digests();
+  }
+
+ private:
+  std::optional<std::string> old_;
+};
 
 class CacheHardeningTest : public ::testing::Test {
  protected:
@@ -264,6 +289,61 @@ TEST_F(CacheHardeningTest, StemAndStampCoverEnvironment) {
   EXPECT_EQ(module_stem("k1"), module_stem("k1"));
 }
 
+TEST_F(CacheHardeningTest, HeaderEditRefusesOldModuleAndDefaultPch) {
+  // A private copy of every header the stamp covers, used through
+  // PYGB_INCLUDE_DIR: the default tree's PCH is not for these headers.
+  const fs::path include = fs::path(scratch_) / "include";
+  for (const char* sub : kStampedHeaderDirs) {
+    const fs::path from = fs::path(source_include_dir()) / sub;
+    for (const auto& entry : fs::recursive_directory_iterator(from)) {
+      if (entry.path().extension() != ".hpp") continue;
+      const fs::path to = include / entry.path().lexically_relative(
+                                        source_include_dir());
+      fs::create_directories(to.parent_path());
+      fs::copy_file(entry.path(), to);
+    }
+  }
+  IncludeDirGuard guard(include.string());
+
+  EXPECT_EQ(active_pch_dir(), "");
+  for (const std::string& arg :
+       module_compile_argv(compiler_command(), compile_flags(),
+                           include.string(), "m.cpp", "m.so")) {
+    EXPECT_EQ(arg.find(jit_pch_root()), std::string::npos) << arg;
+  }
+
+  OpRequest req;
+  req.func = func::kMxM;
+  req.a = DType::kFP64;
+  req.b = DType::kFP64;
+  req.semiring = MinPlusSemiring();
+  auto& reg = Registry::instance();
+  ResolveInfo info;
+  ASSERT_NE(reg.get(req, &info), nullptr);
+  EXPECT_STREQ(info.backend, "jit-compile");
+  const std::string old_stamp = cache_stamp();
+  const fs::path old_so =
+      fs::path(cache_dir_) / (module_stem(req.key()) + ".so");
+  ASSERT_TRUE(fs::exists(old_so));
+
+  // One edited header: what a later process built from it would see.
+  {
+    std::ofstream out(include / "gbtl" / "gbtl.hpp", std::ios::app);
+    out << "\n// edited\n";
+  }
+  forget_header_digests();
+  EXPECT_NE(cache_stamp(), old_stamp);
+  EXPECT_NE(fs::path(cache_dir_) / (module_stem(req.key()) + ".so"), old_so);
+  std::string err;
+  EXPECT_EQ(load_kernel(old_so.string(), &err, module_stamp(req.key())),
+            nullptr);
+  reg.clear_memory_cache();
+  reg.reset_stats();
+  ASSERT_NE(reg.get(req, &info), nullptr);
+  EXPECT_STREQ(info.backend, "jit-compile");  // the old module is not used
+  EXPECT_EQ(reg.stats().compiles, 1u);
+}
+
 TEST(CacheCodegenStamp, EmittedOnlyWhenRequested) {
   OpRequest req;
   req.func = func::kApplyV;
@@ -311,6 +391,41 @@ TEST(CacheCompiler, DecodesExitStatusAndDropsLogOnSuccess) {
   fs::remove_all(dir, ec);
 }
 
+TEST(CacheCompiler, RuntimeArgvUsesTheBuildTimePch) {
+  if (!compiler_available()) GTEST_SKIP();
+  if (std::getenv("PYGB_CXX") != nullptr ||
+      std::getenv("PYGB_INCLUDE_DIR") != nullptr) {
+    GTEST_SKIP() << "the build-time PCH is for the default compiler and "
+                    "include dir";
+  }
+  const std::string pch = active_pch_dir();
+  ASSERT_FALSE(pch.empty()) << "no PCH at " << jit_pch_dir()
+                            << " (target pygb_jit_pch)";
+  EXPECT_EQ(pch.rfind(jit_pch_root(), 0), 0u);
+
+  const auto dir = fs::temp_directory_path() /
+                   ("pygb_pch_test_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  OpRequest req;
+  req.func = func::kApplyV;
+  req.a = DType::kFP64;
+  req.unary_op = UnaryOp("Identity");
+  write_file(dir / "m.cpp", generate_source(req, "pch-test"));
+  RunOptions opt;
+  opt.argv = module_compile_argv(compiler_command(), compile_flags(),
+                                 source_include_dir(),
+                                 (dir / "m.cpp").string(),
+                                 (dir / "m.so").string());
+  opt.argv.insert(opt.argv.begin() + 1, "-H");  // print each header used
+  const RunOutcome ro = run_subprocess(opt);
+  EXPECT_TRUE(ro.ok()) << ro.describe() << "\n" << ro.captured;
+  // -H marks a header served from a valid PCH with '!'.
+  EXPECT_NE(ro.captured.find("! " + pch + "/" + kPchFile), std::string::npos)
+      << ro.captured.substr(0, 2000);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST(CacheCompiler, AvailabilityProbeTracksCompilerChanges) {
   if (!compiler_available()) GTEST_SKIP();
   const char* saved_cxx = std::getenv("PYGB_CXX");
@@ -332,6 +447,46 @@ TEST(CacheCompiler, AvailabilityProbeTracksCompilerChanges) {
   }
   EXPECT_TRUE(compiler_available());
   EXPECT_FALSE(compiler_identity().empty());
+}
+
+TEST(CacheLoader, StampScanFindsAStampStraddlingABlockBoundary) {
+  const auto dir = fs::temp_directory_path() /
+                   ("pygb_scan_test_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string stamp = module_stamp("mxm|c=fp64|straddle");
+  const std::string needle = std::string(kStampMarker) + stamp + '\0';
+  const fs::path path = dir / "m.so";
+  auto write_at = [&](std::size_t offset, const std::string& payload) {
+    std::string bytes(offset, 'x');
+    bytes += payload;
+    bytes += std::string(100, 'y');
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  // The needle starting 1..needle-1 bytes before the first block ends, and
+  // exactly at the boundary.
+  for (std::size_t before : {std::size_t{0}, std::size_t{1},
+                             needle.size() / 2, needle.size() - 1}) {
+    write_at(kStampScanBlock - before, needle);
+    EXPECT_TRUE(file_carries_stamp(path.string(), stamp)) << before;
+  }
+  // Across the boundary, a stamp without its terminating NUL (a longer
+  // key's module) or with one byte changed is still refused.
+  write_at(kStampScanBlock - needle.size() / 2,
+           needle.substr(0, needle.size() - 1) + "z");
+  EXPECT_FALSE(file_carries_stamp(path.string(), stamp));
+  std::string changed = needle;
+  changed[needle.size() / 2] ^= 1;
+  write_at(kStampScanBlock - needle.size() / 2, changed);
+  EXPECT_FALSE(file_carries_stamp(path.string(), stamp));
+  // Truncated inside the stamp, right after the boundary.
+  std::string cut(kStampScanBlock - 10, 'x');
+  cut += needle.substr(0, 20);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(cut.data(), static_cast<std::streamsize>(cut.size()));
+  EXPECT_FALSE(file_carries_stamp(path.string(), stamp));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(CacheEviction, EvictsFullStemFamilyIncludingLitter) {

@@ -194,9 +194,6 @@ class CompileServiceTest : public ::testing::Test {
                    .string();
     fs::create_directories(scratch_);
     env_.emplace_back(new EnvGuard("PYGB_COMPILED", "on"));
-    // Skip the PCH build: these tests exercise supervision, not warm-compile
-    // latency, and a fast handshake keeps the suite quick.
-    env_.emplace_back(new EnvGuard("PYGB_COMPILED_PCH", "off"));
     env_.emplace_back(new EnvGuard("PYGB_COMPILED_TIMEOUT_MS", "30000"));
     faultinj::configure("");
     CompileService::instance().reset();

@@ -6,6 +6,7 @@
 // cross-process ctest (tests/jit_timeout.sh, driving pygb_cli).
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -106,6 +107,37 @@ TEST(SubprocessRun, DecodesExitCode) {
   EXPECT_FALSE(ro.transient);
   EXPECT_EQ(ro.attempts, 1);
   EXPECT_NE(ro.describe().find("exit status 7"), std::string::npos);
+}
+
+TEST(SubprocessRun, WakesOnChildExitWhenPinnedToOneCpu) {
+  // On one CPU the exiting child is preempted by its woken parent, whose
+  // pipes are already closed: only the child's exit is left to wait for.
+  // A runner that sleeps a poll floor then pays it on every run (~51 ms
+  // with a 50 ms floor); one that polls a pidfd wakes when the child exits.
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);  // this thread
+  std::vector<double> ms;
+  for (int i = 0; i < 20; ++i) {
+    RunOptions opt;
+    opt.argv = {"/bin/true"};
+    opt.timeout_ms = 5000;
+    const auto start = std::chrono::steady_clock::now();
+    const RunOutcome ro = run_subprocess(opt);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+    EXPECT_TRUE(ro.ok()) << ro.describe();
+  }
+  ::sched_setaffinity(0, sizeof saved, &saved);
+  std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
+  EXPECT_LT(ms[10], 10.0);
 }
 
 TEST(SubprocessRun, CapturesStderrAndStdout) {

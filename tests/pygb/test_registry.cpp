@@ -3,6 +3,9 @@
 // and the §V combination-space counts.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "pygb/pygb.hpp"
 
 namespace {
@@ -30,6 +33,31 @@ TEST_F(RegistryTest, ModeParseRoundTrip) {
 TEST_F(RegistryTest, StaticTableIsPopulated) {
   // The curated build-time set registers on first use of the registry.
   EXPECT_GT(Registry::instance().static_kernel_count(), 500u);
+}
+
+TEST_F(RegistryTest, EveryStaticEntryResolvesToItsKernelUnderBothBackends) {
+  // The table is constant data; the registry builds the keys. Each entry's
+  // rebuilt request must find exactly that entry's kernel, with and
+  // without the backend suffix, and no two entries may share a key.
+  auto& reg = Registry::instance();
+  reg.set_mode(Mode::kStatic);
+  std::set<std::string> keys;
+  std::size_t entries = 0;
+  for (const auto& table : static_kernel_tables()) {
+    for (const StaticEntry& e : table) {
+      ++entries;
+      OpRequest req = e.request();
+      EXPECT_TRUE(keys.insert(req.key()).second) << "duplicate " << req.key();
+      for (auto be : {gbtl::detail::Backend::kScalar,
+                      gbtl::detail::Backend::kSimd}) {
+        req.backend = be;
+        ResolveInfo info;
+        EXPECT_EQ(reg.get(req, &info), e.fn) << req.key();
+        EXPECT_STREQ(info.backend, "static");
+      }
+    }
+  }
+  EXPECT_EQ(entries, reg.static_kernel_count());
 }
 
 TEST_F(RegistryTest, StaticHitCounts) {

@@ -39,8 +39,9 @@
 //                                  its next checkpoint
 //
 //   cache subcommands (no graph file): --cache-info prints the module
-//   cache directory, size, and environment stamp; --cache-clear empties
-//   it. See docs/CACHE.md.
+//   cache directory, size, environment stamp, and the glue.hpp PCH
+//   directory compiles use (or "none"); --cache-clear empties it. See
+//   docs/CACHE.md.
 //
 //   --health (no graph file): end-to-end readiness probe — generate a
 //   1-element kernel, compile it (through the compile service when
@@ -310,6 +311,8 @@ int run_cache_command(const std::string& cmd) {
             << "quarantined: " << info.quarantined << "\n"
             << "failed logs: " << info.logs << "\n"
             << "stamp:       " << pygb::jit::cache_stamp() << "\n";
+  const std::string pch = pygb::jit::active_pch_dir();
+  std::cout << "pch dir:     " << (pch.empty() ? "none" : pch) << "\n";
   if (const auto cap = pygb::jit::cache_max_bytes(); cap != 0) {
     std::cout << "max bytes:   " << cap << " (PYGB_CACHE_MAX_BYTES)\n";
   } else {

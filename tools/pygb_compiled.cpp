@@ -6,13 +6,9 @@
 // socketpair the supervisor installed as fd 0/1; stderr passes through to
 // the client for human eyes.
 //
-// What a resident worker buys over per-compile fork/exec: at startup it
-// precompiles pygb/jit/glue.hpp — the header every generated module
-// includes first, and by far the dominant cost of a module compile — into
-// a private .gch, then serves each compile against it (-I<pchdir> is
-// searched before the real include dir, and gcc silently ignores the .gch
-// if flags drift, so correctness never depends on it). The PCH directory
-// is torn down on SIGTERM/EOF with plain unlink/rmdir (AS-safe).
+// Each compile goes through the same argv builder as the in-process path
+// (module_compile_argv), so it uses the same build-time glue.hpp PCH
+// (docs/CACHE.md) when one exists for this process's cache stamp.
 //
 // Faultinj site "compiled" is enacted HERE (PYGB_FAULTS is inherited from
 // the client): at startup — crash exits before the handshake, stale_proto
@@ -21,101 +17,27 @@
 // therefore exercised against a real misbehaving process, not a mock.
 //
 // Protocol (all frames [u32 LE len][payload], '\x1f'-separated fields):
-//   handshake (worker→client): PYGB-COMPILED, version, pid, pch(0|1)
+//   handshake (worker→client): PYGB-COMPILED, version, pid, pch(0|1) —
+//             whether the build-time PCH directory goes on compile argvs
 //   request:  REQ, id, timeout_ms, mem_limit_mb, retries, cxx, flags,
 //             include_dir, source, output
 //   response: RSP, id, status, exit_code, transient(0|1), attempts,
 //             wall_ns, stderr-tail (last field, verbatim to frame end)
-#include <signal.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "pygb/faultinj.hpp"
+#include "pygb/jit/cache.hpp"
 #include "pygb/jit/compile_service.hpp"
 #include "pygb/jit/subprocess.hpp"
 
 namespace {
 
 using namespace pygb::jit;
-
-// PCH teardown paths, precomputed into static storage so the SIGTERM
-// handler can clean up with nothing but unlink(2)/rmdir(2).
-char g_pch_file[4096];
-char g_pch_dir0[4096];  // <root>/pygb/jit
-char g_pch_dir1[4096];  // <root>/pygb
-char g_pch_root[4096];  // <root>
-
-void remove_pch() noexcept {
-  if (g_pch_file[0] != '\0') ::unlink(g_pch_file);
-  if (g_pch_dir0[0] != '\0') ::rmdir(g_pch_dir0);
-  if (g_pch_dir1[0] != '\0') ::rmdir(g_pch_dir1);
-  if (g_pch_root[0] != '\0') ::rmdir(g_pch_root);
-}
-
-extern "C" void on_term(int) {
-  remove_pch();
-  ::_exit(0);
-}
-
-/// Build the glue.hpp precompiled header in a worker-private tmp dir.
-/// Returns the -I root on success, "" on any failure (the worker then
-/// serves plain compiles — slower, never wrong).
-std::string build_pch() {
-  const char* gate = std::getenv("PYGB_COMPILED_PCH");
-  if (gate != nullptr && (std::strcmp(gate, "off") == 0 ||
-                          std::strcmp(gate, "0") == 0)) {
-    return "";
-  }
-  const std::string include = source_include_dir();
-  if (include.empty()) return "";
-  const char* tmp = std::getenv("TMPDIR");
-  std::string root = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-  root += "/pygb_pch_" + std::to_string(::getpid());
-  const std::string jitdir = root + "/pygb/jit";
-  const std::string gch = jitdir + "/glue.hpp.gch";
-  if (::mkdir(root.c_str(), 0700) != 0 ||
-      ::mkdir((root + "/pygb").c_str(), 0700) != 0 ||
-      ::mkdir(jitdir.c_str(), 0700) != 0) {
-    return "";
-  }
-  std::snprintf(g_pch_root, sizeof g_pch_root, "%s", root.c_str());
-  std::snprintf(g_pch_dir1, sizeof g_pch_dir1, "%s/pygb", root.c_str());
-  std::snprintf(g_pch_dir0, sizeof g_pch_dir0, "%s", jitdir.c_str());
-  std::snprintf(g_pch_file, sizeof g_pch_file, "%s", gch.c_str());
-
-  RunOptions opt;
-  opt.argv = split_command(compiler_command());
-  for (const auto& flag : split_command(compile_flags())) {
-    // -shared is a link-stage flag; a PCH is compile-only. Everything that
-    // affects the preprocessed state (-std, -O, -D, -fPIC) must match the
-    // module compiles exactly or gcc will (correctly) refuse the .gch.
-    if (flag == "-shared") continue;
-    opt.argv.push_back(flag);
-  }
-  opt.argv.push_back("-x");
-  opt.argv.push_back("c++-header");
-  opt.argv.push_back("-I" + include);
-  opt.argv.push_back(include + "/pygb/jit/glue.hpp");
-  opt.argv.push_back("-o");
-  opt.argv.push_back(gch);
-  opt.timeout_ms = jit_timeout_ms();
-  opt.mem_limit_mb = jit_mem_limit_mb();
-  opt.kill_on_parent_death = true;
-  const RunOutcome ro = run_subprocess(opt);
-  if (!ro.ok()) {
-    remove_pch();
-    g_pch_file[0] = g_pch_dir0[0] = g_pch_dir1[0] = g_pch_root[0] = '\0';
-    return "";
-  }
-  return root;
-}
 
 /// Enact a faultinj decision at a protocol boundary. Returns true when the
 /// caller should proceed normally (possibly delayed).
@@ -128,9 +50,9 @@ bool enact(pygb::faultinj::Action a, bool handshake_pending) {
       ::usleep(2000 * 1000);
       return true;
     case Action::kCrash:
-      ::_exit(86);  // abrupt: no reply, no PCH cleanup — the client's
-                    // death detection and the pdeathsig on any g++ child
-                    // are what keep this survivable
+      ::_exit(86);  // abrupt: no reply — the client's death detection
+                    // and the pdeathsig on any g++ child are what keep
+                    // this survivable
     case Action::kHang:
       for (;;) ::pause();  // parked until the supervisor kills us
     case Action::kCorrupt: {
@@ -160,17 +82,11 @@ bool enact(pygb::faultinj::Action a, bool handshake_pending) {
 int main() {
   // Frames only on fd 1 — anything else printf'd there is protocol
   // corruption, so stdout stays untouched and diagnostics go to stderr.
-  struct sigaction sa = {};
-  sa.sa_handler = on_term;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
 
   // Startup fault visit: models "worker broken at spawn".
   const auto boot = pygb::faultinj::check(pygb::faultinj::site::kCompiled);
   bool stale_proto = boot.action == pygb::faultinj::Action::kStaleProto;
   if (!enact(boot.action, /*handshake_pending=*/true)) ::_exit(1);
-
-  const std::string pch_root = build_pch();
 
   std::string hello = compiled::kMagic;
   hello += compiled::kSep;
@@ -178,26 +94,17 @@ int main() {
   hello += compiled::kSep;
   hello += std::to_string(::getpid());
   hello += compiled::kSep;
-  hello += pch_root.empty() ? "0" : "1";
-  if (!compiled::write_frame(1, hello)) {
-    remove_pch();
-    return 1;
-  }
+  hello += active_pch_dir().empty() ? "0" : "1";
+  if (!compiled::write_frame(1, hello)) return 1;
 
   std::string payload;
   for (;;) {
     const auto rr = compiled::read_frame(0, &payload, /*deadline_ms=*/-1);
     if (rr == compiled::ReadResult::kEof) break;  // client gone: clean exit
-    if (rr != compiled::ReadResult::kOk) {
-      remove_pch();
-      return 2;
-    }
+    if (rr != compiled::ReadResult::kOk) return 2;
     std::string f[10];
     compiled::split_fields(payload, compiled::kSep, 10, f);
-    if (f[0] != "REQ") {
-      remove_pch();
-      return 2;
-    }
+    if (f[0] != "REQ") return 2;
     const std::string& id = f[1];
     const int timeout_ms = std::atoi(f[2].c_str());
     const std::uint64_t mem_mb = std::strtoull(f[3].c_str(), nullptr, 10);
@@ -231,13 +138,7 @@ int main() {
     }
 
     RunOptions opt;
-    opt.argv = split_command(cxx);
-    for (const auto& flag : split_command(flags)) opt.argv.push_back(flag);
-    if (!pch_root.empty()) opt.argv.push_back("-I" + pch_root);
-    opt.argv.push_back("-I" + include);
-    opt.argv.push_back(source);
-    opt.argv.push_back("-o");
-    opt.argv.push_back(output);
+    opt.argv = module_compile_argv(cxx, flags, include, source, output);
     opt.timeout_ms = timeout_ms;
     opt.mem_limit_mb = mem_mb;
     opt.max_attempts = 1 + (retries < 0 ? 0 : retries);
@@ -261,6 +162,5 @@ int main() {
     rsp += ro.captured;  // last field: verbatim to frame end
     if (!compiled::write_frame(1, rsp)) break;
   }
-  remove_pch();
   return 0;
 }
