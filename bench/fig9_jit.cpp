@@ -7,9 +7,13 @@
 #include "bench_json.hpp"
 #include <benchmark/benchmark.h>
 
+#include <elf.h>
+
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "pygb/jit/cache.hpp"
 #include "pygb/jit/codegen.hpp"
@@ -144,22 +148,75 @@ class CompiledEnvScope {
   std::string saved_;
 };
 
-/// One real generated kernel TU (ewise_add_vv on fp64, the same source
-/// shape the registry compiles), written into `dir`.
-std::string write_kernel_source(const std::filesystem::path& dir) {
+/// The keys the compile gauges build:
+///   0: ewise_add_vv on fp64 (Plus);
+///   1: jit-cold's shape — mxv, int16 ← int16·int16 over Min.Plus,
+///      accumulating with Max;
+///   2: a transposed, mixed-dtype mxv — i64 ← f64ᵀ·i64 over Min.Second.
+OpRequest gauge_request(int which) {
   OpRequest req;
-  req.func = func::kEWiseAddVV;
-  req.c = DType::kFP64;
-  req.a = DType::kFP64;
-  req.b = DType::kFP64;
-  req.binary_op = BinaryOp(BinaryOpName::kPlus);
+  if (which == 0) {
+    req.func = func::kEWiseAddVV;
+    req.c = DType::kFP64;
+    req.a = req.b = DType::kFP64;
+    req.binary_op = BinaryOp(BinaryOpName::kPlus);
+  } else if (which == 1) {
+    req.func = func::kMxV;
+    req.c = DType::kInt16;
+    req.a = req.b = DType::kInt16;
+    req.semiring = Semiring(std::string("Min"), std::string("Plus"));
+    req.accum = BinaryOp("Max");
+  } else {
+    req.func = func::kMxV;
+    req.c = DType::kInt64;
+    req.a = DType::kFP64;
+    req.b = DType::kInt64;
+    req.a_transposed = true;
+    req.semiring = Semiring(std::string("Min"), std::string("Second"));
+  }
+  return req;
+}
+
+/// One real generated kernel TU (the same source the registry compiles for
+/// gauge_request(which)), written into `dir`.
+std::string write_kernel_source(const std::filesystem::path& dir,
+                                int which = 0) {
   const std::filesystem::path path = dir / "bench_kernel.cpp";
-  std::ofstream(path) << generate_source(req, cache_stamp());
+  std::ofstream(path) << generate_source(gauge_request(which), cache_stamp());
   return path.string();
 }
 
-// The per-compile latency floor the persistent service exists to beat: one
-// full compiler fork/exec (driver startup + glue.hpp parse) per module.
+/// Size of the .text section of an ELF64 shared object (0 if unreadable).
+std::uint64_t text_bytes(const std::string& so_path) {
+  std::ifstream in(so_path, std::ios::binary);
+  Elf64_Ehdr eh{};
+  if (!in.read(reinterpret_cast<char*>(&eh), sizeof eh) ||
+      eh.e_shentsize != sizeof(Elf64_Shdr)) {
+    return 0;
+  }
+  std::vector<Elf64_Shdr> sh(eh.e_shnum);
+  in.seekg(static_cast<std::streamoff>(eh.e_shoff));
+  if (!in.read(reinterpret_cast<char*>(sh.data()),
+               static_cast<std::streamsize>(sh.size() * sizeof(Elf64_Shdr))) ||
+      eh.e_shstrndx >= sh.size()) {
+    return 0;
+  }
+  std::string names(sh[eh.e_shstrndx].sh_size, '\0');
+  in.seekg(static_cast<std::streamoff>(sh[eh.e_shstrndx].sh_offset));
+  in.read(names.data(), static_cast<std::streamsize>(names.size()));
+  for (const Elf64_Shdr& s : sh) {
+    if (s.sh_name < names.size() &&
+        std::strcmp(names.c_str() + s.sh_name, ".text") == 0) {
+      return s.sh_size;
+    }
+  }
+  return 0;
+}
+
+// The per-compile latency of one full compiler fork/exec (driver startup,
+// PCH load, the module's own code) for each gauge key (gauge_request), with
+// the module's text size and the size of the PCH its header uses — the
+// per-layer compile gauge behind jit-cold's compile_ms.
 void BM_ForkExecCompile(benchmark::State& state) {
   if (!compiler_available()) {
     state.SkipWithError("no C++ compiler available");
@@ -167,9 +224,10 @@ void BM_ForkExecCompile(benchmark::State& state) {
   }
   CompiledEnvScope scope(nullptr);  // force the in-process runner
   namespace fs = std::filesystem;
+  const int which = static_cast<int>(state.range(0));
   const fs::path dir = bench_cache_dir() + "_forkexec";
   fs::create_directories(dir);
-  const std::string src = write_kernel_source(dir);
+  const std::string src = write_kernel_source(dir, which);
   const std::string out = (dir / "bench_kernel.so").string();
   for (auto _ : state) {
     const CompileResult r = compile_module(src, out);
@@ -179,6 +237,15 @@ void BM_ForkExecCompile(benchmark::State& state) {
     }
   }
   state.counters["serviced"] = 0;
+  state.counters["text_bytes"] = static_cast<double>(text_bytes(out));
+  std::error_code ec;
+  const std::string pch = active_pch_dir();
+  state.counters["pch_bytes"] =
+      pch.empty() ? 0.0
+                  : static_cast<double>(fs::file_size(
+                        pch + "/" + module_header(gauge_request(which)) +
+                            ".gch",
+                        ec));
   fs::remove_all(dir);
 }
 
@@ -241,7 +308,12 @@ void BM_InterpDispatch(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_ColdCompile)->Unit(benchmark::kMillisecond)->Iterations(3);
-BENCHMARK(BM_ForkExecCompile)->Unit(benchmark::kMillisecond)->Iterations(5);
+BENCHMARK(BM_ForkExecCompile)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(5)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2);
 BENCHMARK(BM_ServiceCompile)->Unit(benchmark::kMillisecond)->Iterations(5);
 BENCHMARK(BM_DiskCacheHit)->Unit(benchmark::kMicrosecond)->Iterations(20);
 BENCHMARK(BM_MemoryCacheHit)->Unit(benchmark::kMicrosecond);

@@ -11,7 +11,7 @@
 #include <limits>
 #include <type_traits>
 
-#include "gbtl/types.hpp"
+#include "gbtl/index.hpp"
 
 namespace gbtl {
 
@@ -261,8 +261,9 @@ struct MaxMonoid {
 /// Concept matched by any monoid defined above (has identity() + call).
 template <typename M>
 concept MonoidType = requires(M m, typename M::ScalarType v) {
-  { M::identity() } -> std::convertible_to<typename M::ScalarType>;
-  { m(v, v) } -> std::convertible_to<typename M::ScalarType>;
+  requires std::is_convertible_v<decltype(M::identity()),
+                                 typename M::ScalarType>;
+  requires std::is_convertible_v<decltype(m(v, v)), typename M::ScalarType>;
 };
 
 // ---------------------------------------------------------------------------
@@ -300,8 +301,10 @@ GEN_GBTL_SEMIRING(MaxPlusSemiring, MaxMonoid, Plus)
 /// Concept matched by any semiring defined above.
 template <typename SR>
 concept SemiringType = requires(SR sr, typename SR::ScalarType v) {
-  { SR::zero() } -> std::convertible_to<typename SR::ScalarType>;
-  { sr.add(v, v) } -> std::convertible_to<typename SR::ScalarType>;
+  requires std::is_convertible_v<decltype(SR::zero()),
+                                 typename SR::ScalarType>;
+  requires std::is_convertible_v<decltype(sr.add(v, v)),
+                                 typename SR::ScalarType>;
 };
 
 }  // namespace gbtl

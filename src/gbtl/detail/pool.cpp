@@ -401,7 +401,7 @@ const PoolApi* host_pool_api() {
                            &api_checkpoint,    &api_mem_reserve,
                            &api_mem_release,   &api_fault_check,
                            &api_flight_note,   &api_request_current,
-                           &api_request_adopt};
+                           &api_request_adopt, /*drivers=*/nullptr};
   return &api;
 }
 

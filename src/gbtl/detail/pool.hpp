@@ -26,7 +26,7 @@
 //   * JIT-generated modules are compiled with a bare `g++ -shared` that
 //     never links libpygb. They receive the host's pool through a function
 //     table (PoolApi) injected right after dlopen via the
-//     pygb_module_set_pool export (defined in pygb/jit/glue.hpp); until —
+//     pygb_module_set_pool export (defined in pygb/jit/thin.hpp); until —
 //     or unless — that injection happens, they degrade to inline
 //     sequential loops.
 #pragma once
@@ -35,13 +35,10 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "gbtl/detail/pool_api.hpp"
 #include "gbtl/types.hpp"
 
 namespace gbtl::detail {
-
-/// Task callback: run rows [begin, end) of the submitted range. A single
-/// parallel_for call may invoke it many times (once per chunk).
-using PoolTaskFn = void (*)(void* ctx, IndexType begin, IndexType end);
 
 /// Row-partitioning strategy for one parallel_for (see header comment).
 enum class Schedule : unsigned { kStatic = 0, kDynamic = 1 };
@@ -50,58 +47,6 @@ enum class Schedule : unsigned { kStatic = 0, kDynamic = 1 };
 /// pool clamps its participant count so every block is at least this tall,
 /// and parallel_for_rows runs ranges shorter than twice this inline.
 inline constexpr IndexType kMinRowsPerThread = 64;
-
-/// C-layout function table handed to dlopen'd JIT modules so their kernels
-/// dispatch onto the host's pool instead of looping sequentially. The ABI
-/// version is checked by the module before accepting the table.
-///
-/// v2 adds the pygb::governor routing (docs/ROBUSTNESS.md): checkpoint()
-/// and mem_reserve() may throw host exceptions; they unwind through the
-/// module's frames safely because host and module share one g++ unwinder
-/// (the same contract that already lets pool worker exceptions rethrow
-/// across the boundary). A v1 module handed this table rejects it and
-/// degrades to sequential, ungoverned execution — the cache schema bump
-/// (pygb/jit/cache.hpp) retires those modules anyway.
-///
-/// v3 adds the observability routing (docs/OBSERVABILITY.md): fault_check()
-/// lets generated kernels carry pygb::faultinj sites (the kernel_crash site
-/// behind the crash-attribution test), and flight_note() lets them drop
-/// events into the host's flight recorder. Both are noexcept and cheap;
-/// without an injected pool they no-op, exactly like the governor hooks.
-///
-/// v4 adds per-request governor context routing (docs/SERVING.md): the
-/// checkpoint/mem_reserve/mem_release entries above are now CONTEXT
-/// SENSITIVE on the host side — they act on the calling thread's bound
-/// pygb::governor::RequestContext (the pool re-binds the submitter's
-/// context on every worker for a job's duration, so this is transparent to
-/// kernels). request_current()/request_adopt() expose the binding itself
-/// for module code that spawns its own threads and must carry the tenant
-/// across. The table stays append-only: a v3 module handed this table
-/// works unchanged (its governor calls route per-request automatically);
-/// a v4 module handed a v3 table skips the new entries.
-struct PoolApi {
-  unsigned abi_version;
-  void (*parallel_for)(IndexType n, PoolTaskFn fn, void* ctx);
-  unsigned (*num_threads)();
-  void (*set_num_threads)(unsigned n);
-  // -- v2: governor routing --
-  void (*checkpoint)();                       ///< cancellation/deadline point
-  void (*mem_reserve)(std::uint64_t bytes);   ///< budget charge (may throw)
-  void (*mem_release)(std::uint64_t bytes);   ///< return a charge (noexcept)
-  // -- v3: observability routing --
-  int (*fault_check)(const char* site);       ///< pygb::faultinj action code
-  void (*flight_note)(const char* what, std::uint64_t v0,
-                      std::uint64_t v1);      ///< flight-recorder event
-  // -- v4: per-request governor context routing --
-  void* (*request_current)();        ///< opaque RequestContext* of caller
-  void (*request_adopt)(void* ctx);  ///< bind ctx (nullptr = default) here
-};
-
-inline constexpr unsigned kPoolAbiVersion = 4;
-
-/// The injection export generated modules carry (see pygb/jit/glue.hpp);
-/// pygb::jit::load_kernel dlsym's this name after every successful dlopen.
-inline constexpr const char* kPoolInjectSymbol = "pygb_module_set_pool";
 
 #if defined(GBTL_POOL_LINKED)
 
@@ -128,24 +73,6 @@ void pool_parallel_for(IndexType n, PoolTaskFn fn, void* ctx);
 Schedule pool_schedule();
 void pool_set_schedule(Schedule s);
 
-/// The function table injected into JIT modules (stable for the process
-/// lifetime).
-const PoolApi* host_pool_api();
-
-/// Governor routing (pygb::governor; docs/ROBUSTNESS.md). Kernels and
-/// algorithms call these instead of including governor.hpp directly so the
-/// SAME header line compiles in JIT modules, where the calls route through
-/// the injected PoolApi (and no-op if the host never injected it).
-void pool_checkpoint();
-void pool_mem_reserve(std::uint64_t bytes);
-void pool_mem_release(std::uint64_t bytes) noexcept;
-
-/// Observability routing (pygb::faultinj / pygb::flightrec). Same
-/// same-header-both-builds contract as the governor hooks above.
-int pool_fault_check(const char* site) noexcept;
-void pool_flight_note(const char* what, std::uint64_t v0,
-                      std::uint64_t v1) noexcept;
-
 /// Per-request context routing (PoolApi v4): the calling thread's bound
 /// pygb::governor::RequestContext as an opaque pointer, and a way to adopt
 /// one on a thread the pool does not manage. In-repo code should prefer
@@ -164,12 +91,6 @@ void reset_mxv_decisions() noexcept;
 
 #else  // !GBTL_POOL_LINKED — a JIT module compiled without libpygb.
 
-/// The host-injected pool table (null until pygb_module_set_pool runs).
-inline std::atomic<const PoolApi*>& pool_api_slot() {
-  static std::atomic<const PoolApi*> api{nullptr};
-  return api;
-}
-
 namespace poolfallback {
 /// Thread-count fallback used only when the host never injected its pool
 /// (a stale cached module or a standalone compile of generated source).
@@ -184,14 +105,14 @@ inline std::atomic<unsigned>& thread_count_slot() {
 }  // namespace poolfallback
 
 inline unsigned pool_num_threads() {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
+  if (const PoolApi* api = injected_pool_api()) {
     return api->num_threads();
   }
   return poolfallback::thread_count_slot().load();
 }
 
 inline void pool_set_num_threads(unsigned n) {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
+  if (const PoolApi* api = injected_pool_api()) {
     api->set_num_threads(n);
     return;
   }
@@ -199,106 +120,24 @@ inline void pool_set_num_threads(unsigned n) {
 }
 
 inline void pool_parallel_for(IndexType n, PoolTaskFn fn, void* ctx) {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
+  if (const PoolApi* api = injected_pool_api()) {
     api->parallel_for(n, fn, ctx);
     return;
   }
   fn(ctx, IndexType{0}, n);  // no pool injected: inline sequential loop
 }
 
-// Governor routing through the injected table. Without an injected pool
-// the module runs ungoverned (same degrade philosophy as the sequential
-// loop above): uncancellable, unbudgeted, but correct.
-inline void pool_checkpoint() {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
-    api->checkpoint();
-  }
-}
-
-inline void pool_mem_reserve(std::uint64_t bytes) {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
-    api->mem_reserve(bytes);
-  }
-}
-
-inline void pool_mem_release(std::uint64_t bytes) noexcept {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
-    api->mem_release(bytes);
-  }
-}
-
-// Observability routing. Gated on abi_version >= 3 so a module built
-// against this header still tolerates an older injected table (it just
-// loses fault sites and flight events, not correctness).
-inline int pool_fault_check(const char* site) noexcept {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
-    if (api->abi_version >= 3 && api->fault_check != nullptr) {
-      return api->fault_check(site);
-    }
-  }
-  return 0;
-}
-
-inline void pool_flight_note(const char* what, std::uint64_t v0,
-                             std::uint64_t v1) noexcept {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
-    if (api->abi_version >= 3 && api->flight_note != nullptr) {
-      api->flight_note(what, v0, v1);
-    }
-  }
-}
-
-// Per-request context routing. Gated on abi_version >= 4: an older
-// injected table simply cannot carry a tenant binding across
-// module-spawned threads (governor calls still route correctly on host
-// and pool threads, where the host manages the binding).
+// Per-request context routing: lets module code that spawns its own
+// threads carry the tenant binding across.
 inline void* pool_request_current() noexcept {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
-    if (api->abi_version >= 4 && api->request_current != nullptr) {
-      return api->request_current();
-    }
-  }
+  if (const PoolApi* api = injected_pool_api()) return api->request_current();
   return nullptr;
 }
 
 inline void pool_request_adopt(void* ctx) noexcept {
-  if (const PoolApi* api = pool_api_slot().load(std::memory_order_acquire)) {
-    if (api->abi_version >= 4 && api->request_adopt != nullptr) {
-      api->request_adopt(ctx);
-    }
-  }
+  if (const PoolApi* api = injected_pool_api()) api->request_adopt(ctx);
 }
 
 #endif  // GBTL_POOL_LINKED
-
-/// RAII budget charge for kernel staging buffers, built on the routed
-/// entry points above so it works identically in-repo and inside JIT
-/// modules. charge() raises pygb::governor::ResourceExhausted BEFORE the
-/// caller allocates; the destructor returns whatever was granted.
-class ScopedMemCharge {
- public:
-  ScopedMemCharge() = default;
-  explicit ScopedMemCharge(std::uint64_t bytes) { charge(bytes); }
-  ScopedMemCharge(const ScopedMemCharge&) = delete;
-  ScopedMemCharge& operator=(const ScopedMemCharge&) = delete;
-  ScopedMemCharge(ScopedMemCharge&& other) noexcept : bytes_(other.bytes_) {
-    other.bytes_ = 0;
-  }
-  ~ScopedMemCharge() { release(); }
-
-  void charge(std::uint64_t bytes) {
-    pool_mem_reserve(bytes);
-    bytes_ += bytes;
-  }
-  void release() noexcept {
-    if (bytes_ != 0) {
-      pool_mem_release(bytes_);
-      bytes_ = 0;
-    }
-  }
-
- private:
-  std::uint64_t bytes_ = 0;
-};
 
 }  // namespace gbtl::detail

@@ -24,8 +24,8 @@
 #include <cstddef>
 #include <type_traits>
 
-#include "gbtl/algebra.hpp"
 #include "gbtl/detail/backend.hpp"
+#include "gbtl/detail/simd_kinds.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -33,46 +33,6 @@
 #endif
 
 namespace gbtl::detail {
-
-// --- which (op, dtype) pairs vectorize -------------------------------------
-
-enum class VecBin : int { kNone = -1, kAdd = 0, kSub, kMul, kDiv };
-enum class VecUn : int {
-  kNone = -1,
-  kCopy = 0,  ///< Identity
-  kNeg,       ///< AdditiveInverse (sign-bit flip: exact -x)
-  kAddS,      ///< x + s
-  kSubS,      ///< x - s
-  kRsubS,     ///< s - x
-  kMulS,      ///< x * s
-  kDivS,      ///< x / s
-  kRdivS,     ///< s / x
-};
-
-template <typename T>
-inline constexpr bool vec_dtype_v =
-    std::is_same_v<T, double> || std::is_same_v<T, float>;
-
-template <typename Op, typename T>
-struct VecBinOf {
-  static constexpr VecBin kind = VecBin::kNone;
-};
-template <typename T>
-struct VecBinOf<Plus<T, T, T>, T> {
-  static constexpr VecBin kind = VecBin::kAdd;
-};
-template <typename T>
-struct VecBinOf<Minus<T, T, T>, T> {
-  static constexpr VecBin kind = VecBin::kSub;
-};
-template <typename T>
-struct VecBinOf<Times<T, T, T>, T> {
-  static constexpr VecBin kind = VecBin::kMul;
-};
-template <typename T>
-struct VecBinOf<Div<T, T, T>, T> {
-  static constexpr VecBin kind = VecBin::kDiv;
-};
 
 // --- AVX2 bodies ------------------------------------------------------------
 
@@ -277,15 +237,16 @@ __attribute__((target("avx2"))) inline void avx2_un_f32(
 
 // --- typed entry points -----------------------------------------------------
 
-/// out[i] = op(a[i], b[i]) for i < n via AVX2, when `Op` is a homogeneous
-/// float/double +,-,*,/ and the CPU has AVX2. Returns false otherwise —
-/// the caller runs its (bit-identical) scalar loop.
-template <typename Op, typename T>
-inline bool vec_binary_dense(const T* a, const T* b, T* out, std::size_t n) {
+/// out[i] = a[i] <kind> b[i] for i < n via AVX2 (float/double). Returns
+/// false when the CPU lacks AVX2 or `kind` is kNone — the caller runs its
+/// (bit-identical) scalar loop. The operator cores (gbtl/core.hpp) name
+/// the kind with VecBinOf; the drivers run the loop.
+template <typename T>
+inline bool vec_binary_dense(VecBin kind, const T* a, const T* b, T* out,
+                             std::size_t n) {
 #if defined(GBTL_SIMD_X86)
-  constexpr VecBin kind = VecBinOf<Op, T>::kind;
-  if constexpr (kind != VecBin::kNone && vec_dtype_v<T>) {
-    if (!cpu_has_avx2()) return false;
+  if constexpr (vec_dtype_v<T>) {
+    if (kind == VecBin::kNone || !cpu_has_avx2()) return false;
     if constexpr (std::is_same_v<T, double>) {
       avx2_bin_f64(kind, a, b, out, n);
     } else {
@@ -294,6 +255,7 @@ inline bool vec_binary_dense(const T* a, const T* b, T* out, std::size_t n) {
     return true;
   }
 #endif
+  (void)kind;
   (void)a;
   (void)b;
   (void)out;
@@ -301,90 +263,14 @@ inline bool vec_binary_dense(const T* a, const T* b, T* out, std::size_t n) {
   return false;
 }
 
-/// Unary-kind extraction for apply: plain Identity/AdditiveInverse, and
-/// the BinaryOpBind1st/2nd adaptors over +,-,*,/ (the PageRank teleport
-/// `x + s` and damping `x * s` shapes).
-template <typename F, typename T>
-struct VecUnOf {
-  static constexpr VecUn kind = VecUn::kNone;
-  static T bound(const F&) { return T{}; }
-};
+/// out[i] = f(a[i]) for i < n via AVX2, where `kind` and the bound scalar
+/// `s` come from VecUnOf. Returns false otherwise.
 template <typename T>
-struct VecUnOf<Identity<T, T>, T> {
-  static constexpr VecUn kind = VecUn::kCopy;
-  static T bound(const Identity<T, T>&) { return T{}; }
-};
-template <typename T>
-struct VecUnOf<AdditiveInverse<T, T>, T> {
-  static constexpr VecUn kind = VecUn::kNeg;
-  static T bound(const AdditiveInverse<T, T>&) { return T{}; }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind2nd<T, Plus<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kAddS;
-  static T bound(const BinaryOpBind2nd<T, Plus<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind2nd<T, Minus<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kSubS;
-  static T bound(const BinaryOpBind2nd<T, Minus<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind2nd<T, Times<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kMulS;
-  static T bound(const BinaryOpBind2nd<T, Times<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind2nd<T, Div<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kDivS;
-  static T bound(const BinaryOpBind2nd<T, Div<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind1st<T, Plus<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kAddS;  // s + x == x + s bitwise
-  static T bound(const BinaryOpBind1st<T, Plus<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind1st<T, Minus<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kRsubS;
-  static T bound(const BinaryOpBind1st<T, Minus<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind1st<T, Times<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kMulS;  // s * x == x * s bitwise
-  static T bound(const BinaryOpBind1st<T, Times<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-template <typename T>
-struct VecUnOf<BinaryOpBind1st<T, Div<T, T, T>>, T> {
-  static constexpr VecUn kind = VecUn::kRdivS;
-  static T bound(const BinaryOpBind1st<T, Div<T, T, T>>& f) {
-    return f.bound();
-  }
-};
-
-/// out[i] = f(a[i]) for i < n via AVX2 when `F` is one of the recognized
-/// unary shapes over float/double. Returns false otherwise.
-template <typename F, typename T>
-inline bool vec_unary_dense(const F& f, const T* a, T* out, std::size_t n) {
+inline bool vec_unary_dense(VecUn kind, T s, const T* a, T* out,
+                            std::size_t n) {
 #if defined(GBTL_SIMD_X86)
-  constexpr VecUn kind = VecUnOf<F, T>::kind;
-  if constexpr (kind != VecUn::kNone && vec_dtype_v<T>) {
-    if (!cpu_has_avx2()) return false;
-    const T s = VecUnOf<F, T>::bound(f);
+  if constexpr (vec_dtype_v<T>) {
+    if (kind == VecUn::kNone || !cpu_has_avx2()) return false;
     if constexpr (std::is_same_v<T, double>) {
       avx2_un_f64(kind, a, s, out, n);
     } else {
@@ -393,7 +279,8 @@ inline bool vec_unary_dense(const F& f, const T* a, T* out, std::size_t n) {
     return true;
   }
 #endif
-  (void)f;
+  (void)kind;
+  (void)s;
   (void)a;
   (void)out;
   (void)n;

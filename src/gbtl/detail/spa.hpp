@@ -6,8 +6,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "gbtl/detail/pool.hpp"
-#include "gbtl/types.hpp"
+#include "gbtl/detail/pool_api.hpp"
+#include "gbtl/index.hpp"
 
 namespace gbtl::detail {
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "gbtl/core.hpp"
 #include "gbtl/matrix.hpp"
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
@@ -20,10 +21,7 @@
 
 namespace gbtl::detail {
 
-/// True when AccumT is the NoAccumulate tag rather than a binary op.
-template <typename AccumT>
-inline constexpr bool no_accum_v =
-    std::is_same_v<std::remove_cvref_t<AccumT>, NoAccumulate>;
+using core::no_accum_v;
 
 /// Merge the computed result T into the output matrix C under mask M with
 /// accumulator `accum` and the given output control. T must have the same
@@ -128,6 +126,78 @@ void write_vector_result(Vector<CT>& c, const Vector<TT>& t, const MaskT& m,
       }
       // has_c only: accumulate keeps the prior value — nothing to do.
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The same discipline for the driver/core ops (gbtl/core.hpp), committing
+// a staged result. The accumulator core has already folded C into T where
+// both hold a value, so `keep_prior` (an accumulator is present) only says
+// whether masked-in positions without a T value keep C's value.
+// ---------------------------------------------------------------------------
+
+template <typename CT>
+void commit_vector(Vector<CT>& c, const unsigned char* present,
+                   const core::Slot<CT>* vals, const core::VecMask& m,
+                   bool keep_prior, bool replace) {
+  for (IndexType i = 0; i < c.size(); ++i) {
+    const bool has_c = c.has_unchecked(i);
+    const bool has_t = present[i] != 0;
+    if (!has_c && !has_t) continue;
+    if (!m(i)) {
+      if (has_c && replace) c.removeElement(i);
+      continue;
+    }
+    if (has_t) {
+      c.set_unchecked(i, static_cast<CT>(vals[i]));
+    } else if (!keep_prior) {
+      c.removeElement(i);
+    }
+  }
+}
+
+template <typename CT>
+void commit_matrix(Matrix<CT>& c, core::Row<CT>* t_rows,
+                   const core::MatMask& m, bool keep_prior, bool replace) {
+  using CRow = typename Matrix<CT>::Row;
+  for (IndexType i = 0; i < c.nrows(); ++i) {
+    const auto& crow = c.row(i);
+    const auto& trow = t_rows[i];
+    CRow out;
+    out.reserve(crow.size() + trow.size());
+    auto ci = crow.begin();
+    auto ti = trow.begin();
+    while (ci != crow.end() || ti != trow.end()) {
+      IndexType j;
+      const CT* cv = nullptr;
+      const CT* tv = nullptr;
+      if (ti == trow.end() || (ci != crow.end() && ci->first < ti->first)) {
+        j = ci->first;
+        cv = &ci->second;
+        ++ci;
+      } else if (ci == crow.end() || ti->first < ci->first) {
+        j = ti->first;
+        tv = &ti->second;
+        ++ti;
+      } else {
+        j = ci->first;
+        cv = &ci->second;
+        tv = &ti->second;
+        ++ci;
+        ++ti;
+      }
+      if (!m(i, j)) {
+        // Outside the mask: merge keeps the old value, replace drops it.
+        if (cv != nullptr && !replace) out.emplace_back(j, *cv);
+        continue;
+      }
+      if (tv != nullptr) {
+        out.emplace_back(j, *tv);
+      } else if (keep_prior) {
+        out.emplace_back(j, *cv);
+      }
+    }
+    c.setRow(i, std::move(out));
   }
 }
 

@@ -164,6 +164,17 @@ class Matrix {
     return rows_[i];
   }
 
+  /// The row array (nrows() rows), for the operator cores' views.
+  const Row* row_data() const noexcept { return rows_.data(); }
+
+  /// The row array for an in-place VALUE update (same contract as
+  /// transform_rows: structure unchanged). Invalidates the transpose
+  /// snapshot like every mutator.
+  Row* rows_for_update() noexcept {
+    invalidate_transpose_cache();
+    return rows_.data();
+  }
+
   /// Replace a row wholesale with pre-sorted, duplicate-free entries.
   /// Used by the sparse kernels that build outputs row-at-a-time.
   void setRow(IndexType i, Row&& entries) {

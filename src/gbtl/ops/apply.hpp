@@ -10,129 +10,34 @@
 #pragma once
 
 #include <type_traits>
-#include <utility>
-#include <vector>
 
-#include "gbtl/detail/backend.hpp"
-#include "gbtl/detail/parallel.hpp"
-#include "gbtl/detail/simd.hpp"
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
-#include "gbtl/ops/mxm.hpp"  // materialize_transpose
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
 #include "gbtl/views.hpp"
 
 namespace gbtl {
 
-namespace detail {
-
-template <typename D3, typename AT, typename UnaryOpT>
-Matrix<D3> apply_matrix(const UnaryOpT& f, const Matrix<AT>& a) {
-  // simd-backend fast path: a same-type Identity apply is a verbatim copy,
-  // so take the container copy constructor (whole-row vector copies —
-  // memcpy for these trivially copyable entries) instead of re-emplacing
-  // every element. The copy even shares a's immutable transpose snapshot,
-  // which is equally valid for identical contents.
-  if constexpr (std::is_same_v<AT, D3> &&
-                std::is_same_v<UnaryOpT, Identity<AT, D3>>) {
-    if (simd_enabled()) {
-      ScopedMemCharge copy_charge(
-          a.nrows() * sizeof(typename Matrix<D3>::Row) +
-          a.nvals() * sizeof(std::pair<IndexType, D3>));
-      return Matrix<D3>(a);
-    }
-  }
-  Matrix<D3> t(a.nrows(), a.ncols());
-  ScopedMemCharge charge(a.nrows() * sizeof(typename Matrix<D3>::Row) +
-                         a.nvals() * sizeof(std::pair<IndexType, D3>));
-  std::vector<typename Matrix<D3>::Row> out_rows(a.nrows());
-  detail::parallel_for_rows(a.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      pool_checkpoint();
-      const auto& ra = a.row(i);
-      if (ra.empty()) continue;
-      auto& out = out_rows[i];
-      out.reserve(ra.size());
-      for (const auto& [j, v] : ra) {
-        out.emplace_back(j, static_cast<D3>(f(v)));
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    if (!out_rows[i].empty()) t.setRow(i, std::move(out_rows[i]));
-  }
-  return t;
-}
-
-template <typename D3, typename UT, typename UnaryOpT>
-Vector<D3> apply_vector(const UnaryOpT& f, const Vector<UT>& u) {
-  // simd-backend fast path: a fully dense input maps to a fully dense
-  // output, so the recognized unary forms (identity/negate/bind-constant
-  // arithmetic) run as one contiguous AVX2 loop. Per-element IEEE-exact —
-  // same value as f(v) at every position.
-  if constexpr (std::is_same_v<UT, D3> && vec_dtype_v<D3>) {
-    if (simd_enabled() && u.fully_dense()) {
-      ScopedMemCharge fast_charge(u.size() * sizeof(D3));
-      std::vector<D3> out(u.size());
-      if (vec_unary_dense(f, u.vals(), out.data(), u.size())) {
-        Vector<D3> fast(u.size());
-        fast.assign_dense(std::move(out));
-        return fast;
-      }
-    }
-  }
-  Vector<D3> t(u.size());
-  ScopedMemCharge charge(u.size() * (1 + sizeof(D3)));
-  std::vector<unsigned char> present(u.size(), 0);
-  std::vector<D3> vals(u.size());
-  detail::parallel_for_rows(u.size(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      if (u.has_unchecked(i)) {
-        present[i] = 1;
-        vals[i] = static_cast<D3>(f(u.value_unchecked(i)));
-      }
-    }
-  });
-  for (IndexType i = 0; i < u.size(); ++i) {
-    if (present[i]) t.set_unchecked(i, vals[i]);
-  }
-  return t;
-}
-
-}  // namespace detail
-
 /// C<M, z> = C (+) f(A). A may be a Matrix or TransposeView.
 template <typename CT, typename MaskT, typename AccumT, typename UnaryOpT,
           typename AMatT>
 void apply(Matrix<CT>& c, const MaskT& mask, AccumT accum, const UnaryOpT& f,
            const AMatT& a, OutputControl outp = OutputControl::kMerge) {
-  if (c.nrows() != detail::generic_nrows(a) ||
-      c.ncols() != detail::generic_ncols(a)) {
-    throw DimensionException("apply: output shape differs from input");
-  }
-  // simd-backend fast path: an unmasked, unaccumulated apply whose output
-  // aliases its input (C = f(C), the shape of in-place rescales like
-  // PageRank's damping step) overwrites stored values directly — no
-  // staging matrix, no row reallocation. Element-for-element the same
-  // static_cast<CT>(f(v)) as the staged path, and with NoMask +
-  // NoAccumulate the staged result would replace C wholesale anyway
-  // (merge and replace coincide), so the result is bit-identical.
-  if constexpr (std::is_same_v<MaskT, NoMask> &&
-                std::is_same_v<AccumT, NoAccumulate> &&
-                std::is_same_v<AMatT, Matrix<CT>>) {
-    if (detail::simd_enabled() &&
-        static_cast<const void*>(&c) == static_cast<const void*>(&a)) {
-      c.transform_rows([&f](IndexType, auto& row) {
-        detail::pool_checkpoint();
-        for (auto& [j, v] : row) v = static_cast<CT>(f(v));
-      });
-      return;
-    }
-  }
-  decltype(auto) ra = detail::resolve_matrix(a);
-  auto t = detail::apply_matrix<CT>(f, ra);
-  detail::write_matrix_result(c, t, mask, accum, outp);
+  using AT = typename AMatT::ScalarType;
+  const detail::BoolMask<MaskT> m(mask);
+  ApplyMCall call;
+  call.c = &c;
+  call.a = &detail::stored_matrix(a);
+  call.a_ops = detail::operand_ops<AT>();
+  call.mask = m.arg();
+  call.a_transposed = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
+  call.replace = outp == OutputControl::kReplace;
+  call.f = &f;
+  call.core = core::apply_m_core<CT, AT, UnaryOpT>();
+  call.accum = core::mat_accum<CT>(accum);
+  detail::apply_m_driver<CT>(call);
 }
 
 /// w<m, z> = w (+) f(u).
@@ -140,11 +45,17 @@ template <typename WT, typename MaskT, typename AccumT, typename UnaryOpT,
           typename UT>
 void apply(Vector<WT>& w, const MaskT& mask, AccumT accum, const UnaryOpT& f,
            const Vector<UT>& u, OutputControl outp = OutputControl::kMerge) {
-  if (w.size() != u.size()) {
-    throw DimensionException("apply: output size differs from input");
-  }
-  auto t = detail::apply_vector<WT>(f, u);
-  detail::write_vector_result(w, t, mask, accum, outp);
+  const detail::BoolMask<MaskT> m(mask);
+  ApplyVCall call;
+  call.w = &w;
+  call.a = &u;
+  call.a_ops = detail::operand_ops<UT>();
+  call.mask = m.arg();
+  call.replace = outp == OutputControl::kReplace;
+  call.f = &f;
+  call.core = core::apply_v_core<WT, UT>(f);
+  call.accum = core::vec_accum<WT>(accum);
+  detail::apply_v_driver<WT>(call);
 }
 
 }  // namespace gbtl

@@ -11,17 +11,11 @@
 // afterwards (Vector/Matrix nvals bookkeeping is not thread-safe).
 #pragma once
 
-#include <optional>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
-#include "gbtl/detail/backend.hpp"
-#include "gbtl/detail/parallel.hpp"
-#include "gbtl/detail/simd.hpp"
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
-#include "gbtl/ops/mxm.hpp"  // materialize_transpose
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
 #include "gbtl/views.hpp"
@@ -30,173 +24,49 @@ namespace gbtl {
 
 namespace detail {
 
-template <typename D3, typename AT, typename BT, typename BinaryOpT>
-Matrix<D3> ewise_add_matrix(const BinaryOpT& op, const Matrix<AT>& a,
-                            const Matrix<BT>& b) {
-  Matrix<D3> t(a.nrows(), a.ncols());
-  ScopedMemCharge charge(a.nrows() * sizeof(typename Matrix<D3>::Row));
-  std::vector<typename Matrix<D3>::Row> out_rows(a.nrows());
-  detail::parallel_for_rows(a.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      pool_checkpoint();
-      const auto& ra = a.row(i);
-      const auto& rb = b.row(i);
-      if (ra.empty() && rb.empty()) continue;
-      auto& out = out_rows[i];
-      out.reserve(ra.size() + rb.size());
-      auto ia = ra.begin();
-      auto ib = rb.begin();
-      while (ia != ra.end() || ib != rb.end()) {
-        if (ib == rb.end() || (ia != ra.end() && ia->first < ib->first)) {
-          out.emplace_back(ia->first, static_cast<D3>(ia->second));
-          ++ia;
-        } else if (ia == ra.end() || ib->first < ia->first) {
-          out.emplace_back(ib->first, static_cast<D3>(ib->second));
-          ++ib;
-        } else {
-          out.emplace_back(ia->first,
-                           static_cast<D3>(op(ia->second, ib->second)));
-          ++ia;
-          ++ib;
-        }
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    if (!out_rows[i].empty()) t.setRow(i, std::move(out_rows[i]));
-  }
-  return t;
+template <bool IsAdd, typename CT, typename MaskT, typename AccumT,
+          typename BinaryOpT, typename AMatT, typename BMatT>
+void run_ewise(Matrix<CT>& c, const MaskT& mask, const AccumT& accum,
+               const BinaryOpT& op, const AMatT& a, const BMatT& b,
+               OutputControl outp) {
+  using AT = typename AMatT::ScalarType;
+  using BT = typename BMatT::ScalarType;
+  const BoolMask<MaskT> m(mask);
+  EwiseMCall call;
+  call.c = &c;
+  call.a = &stored_matrix(a);
+  call.a_ops = operand_ops<AT>();
+  call.b = &stored_matrix(b);
+  call.b_ops = operand_ops<BT>();
+  call.mask = m.arg();
+  call.a_transposed = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
+  call.b_transposed = is_transpose_view_v<std::remove_cvref_t<BMatT>>;
+  call.replace = outp == OutputControl::kReplace;
+  call.op = &op;
+  call.core = core::ewise_m_core<IsAdd, CT, AT, BT, BinaryOpT>();
+  call.accum = core::mat_accum<CT>(accum);
+  ewise_m_driver<CT>(call);
 }
 
-template <typename D3, typename AT, typename BT, typename BinaryOpT>
-Matrix<D3> ewise_mult_matrix(const BinaryOpT& op, const Matrix<AT>& a,
-                             const Matrix<BT>& b) {
-  Matrix<D3> t(a.nrows(), a.ncols());
-  ScopedMemCharge charge(a.nrows() * sizeof(typename Matrix<D3>::Row));
-  std::vector<typename Matrix<D3>::Row> out_rows(a.nrows());
-  detail::parallel_for_rows(a.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      pool_checkpoint();
-      const auto& ra = a.row(i);
-      const auto& rb = b.row(i);
-      if (ra.empty() || rb.empty()) continue;
-      auto& out = out_rows[i];
-      auto ia = ra.begin();
-      auto ib = rb.begin();
-      while (ia != ra.end() && ib != rb.end()) {
-        if (ia->first < ib->first) {
-          ++ia;
-        } else if (ib->first < ia->first) {
-          ++ib;
-        } else {
-          out.emplace_back(ia->first,
-                           static_cast<D3>(op(ia->second, ib->second)));
-          ++ia;
-          ++ib;
-        }
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    if (!out_rows[i].empty()) t.setRow(i, std::move(out_rows[i]));
-  }
-  return t;
-}
-
-/// simd-backend fast path shared by the vector eWise kernels: both inputs
-/// fully dense ⇒ the op applies at EVERY position (union and intersection
-/// coincide), so the result is a contiguous vectorizable loop. Bit-exact:
-/// the AVX2 lanes compute the same IEEE operation per element as the
-/// scalar loop — no reassociation. Returns nullopt when the op/dtype has
-/// no vector form; the caller falls through to the generic merge.
-template <typename D3, typename AT, typename BT, typename BinaryOpT>
-std::optional<Vector<D3>> ewise_dense_simd(const BinaryOpT& op,
-                                           const Vector<AT>& a,
-                                           const Vector<BT>& b) {
-  if constexpr (std::is_same_v<AT, BT> && std::is_same_v<AT, D3> &&
-                vec_dtype_v<D3>) {
-    if (simd_enabled() && a.fully_dense() && b.fully_dense()) {
-      ScopedMemCharge charge(a.size() * sizeof(D3));
-      std::vector<D3> out(a.size());
-      if (vec_binary_dense<BinaryOpT, D3>(a.vals(), b.vals(), out.data(),
-                                          a.size())) {
-        Vector<D3> t(a.size());
-        t.assign_dense(std::move(out));
-        return t;
-      }
-    }
-  } else {
-    (void)op;
-    (void)a;
-    (void)b;
-  }
-  return std::nullopt;
-}
-
-template <typename D3, typename AT, typename BT, typename BinaryOpT>
-Vector<D3> ewise_add_vector(const BinaryOpT& op, const Vector<AT>& a,
-                            const Vector<BT>& b) {
-  if (auto fast = ewise_dense_simd<D3>(op, a, b)) return std::move(*fast);
-  Vector<D3> t(a.size());
-  ScopedMemCharge charge(a.size() * (1 + sizeof(D3)));
-  std::vector<unsigned char> present(a.size(), 0);
-  std::vector<D3> vals(a.size());
-  detail::parallel_for_rows(a.size(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      const bool ha = a.has_unchecked(i);
-      const bool hb = b.has_unchecked(i);
-      if (ha && hb) {
-        present[i] = 1;
-        vals[i] = static_cast<D3>(op(a.value_unchecked(i),
-                                     b.value_unchecked(i)));
-      } else if (ha) {
-        present[i] = 1;
-        vals[i] = static_cast<D3>(a.value_unchecked(i));
-      } else if (hb) {
-        present[i] = 1;
-        vals[i] = static_cast<D3>(b.value_unchecked(i));
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.size(); ++i) {
-    if (present[i]) t.set_unchecked(i, vals[i]);
-  }
-  return t;
-}
-
-template <typename D3, typename AT, typename BT, typename BinaryOpT>
-Vector<D3> ewise_mult_vector(const BinaryOpT& op, const Vector<AT>& a,
-                             const Vector<BT>& b) {
-  if (auto fast = ewise_dense_simd<D3>(op, a, b)) return std::move(*fast);
-  Vector<D3> t(a.size());
-  ScopedMemCharge charge(a.size() * (1 + sizeof(D3)));
-  std::vector<unsigned char> present(a.size(), 0);
-  std::vector<D3> vals(a.size());
-  detail::parallel_for_rows(a.size(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      if (a.has_unchecked(i) && b.has_unchecked(i)) {
-        present[i] = 1;
-        vals[i] = static_cast<D3>(op(a.value_unchecked(i),
-                                     b.value_unchecked(i)));
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.size(); ++i) {
-    if (present[i]) t.set_unchecked(i, vals[i]);
-  }
-  return t;
-}
-
-template <typename AMatT, typename BMatT, typename CMatT>
-void check_ewise_matrix_shapes(const AMatT& a, const BMatT& b,
-                               const CMatT& c) {
-  if (generic_nrows(a) != generic_nrows(b) ||
-      generic_ncols(a) != generic_ncols(b)) {
-    throw DimensionException("eWise: A and B shapes differ");
-  }
-  if (c.nrows() != generic_nrows(a) || c.ncols() != generic_ncols(a)) {
-    throw DimensionException("eWise: output shape differs from inputs");
-  }
+template <bool IsAdd, typename WT, typename MaskT, typename AccumT,
+          typename BinaryOpT, typename UT, typename VT>
+void run_ewise(Vector<WT>& w, const MaskT& mask, const AccumT& accum,
+               const BinaryOpT& op, const Vector<UT>& u, const Vector<VT>& v,
+               OutputControl outp) {
+  const BoolMask<MaskT> m(mask);
+  EwiseVCall call;
+  call.w = &w;
+  call.a = &u;
+  call.a_ops = operand_ops<UT>();
+  call.b = &v;
+  call.b_ops = operand_ops<VT>();
+  call.mask = m.arg();
+  call.is_add = IsAdd;
+  call.replace = outp == OutputControl::kReplace;
+  call.op = &op;
+  call.core = core::ewise_v_core<IsAdd, WT, UT, VT, BinaryOpT>();
+  call.accum = core::vec_accum<WT>(accum);
+  ewise_v_driver<WT>(call);
 }
 
 }  // namespace detail
@@ -209,11 +79,7 @@ template <typename CT, typename MaskT, typename AccumT, typename BinaryOpT,
 void eWiseAdd(Matrix<CT>& c, const MaskT& mask, AccumT accum,
               const BinaryOpT& op, const AMatT& a, const BMatT& b,
               OutputControl outp = OutputControl::kMerge) {
-  detail::check_ewise_matrix_shapes(a, b, c);
-  decltype(auto) ra = detail::resolve_matrix(a);
-  decltype(auto) rb = detail::resolve_matrix(b);
-  auto t = detail::ewise_add_matrix<CT>(op, ra, rb);
-  detail::write_matrix_result(c, t, mask, accum, outp);
+  detail::run_ewise<true>(c, mask, accum, op, a, b, outp);
 }
 
 /// w<m, z> = w (+) (u ⊕ v).
@@ -222,11 +88,7 @@ template <typename WT, typename MaskT, typename AccumT, typename BinaryOpT,
 void eWiseAdd(Vector<WT>& w, const MaskT& mask, AccumT accum,
               const BinaryOpT& op, const Vector<UT>& u, const Vector<VT>& v,
               OutputControl outp = OutputControl::kMerge) {
-  if (u.size() != v.size() || w.size() != u.size()) {
-    throw DimensionException("eWiseAdd: vector sizes differ");
-  }
-  auto t = detail::ewise_add_vector<WT>(op, u, v);
-  detail::write_vector_result(w, t, mask, accum, outp);
+  detail::run_ewise<true>(w, mask, accum, op, u, v, outp);
 }
 
 /// C<M, z> = C (+) (A ⊗ B): intersection structure.
@@ -235,11 +97,7 @@ template <typename CT, typename MaskT, typename AccumT, typename BinaryOpT,
 void eWiseMult(Matrix<CT>& c, const MaskT& mask, AccumT accum,
                const BinaryOpT& op, const AMatT& a, const BMatT& b,
                OutputControl outp = OutputControl::kMerge) {
-  detail::check_ewise_matrix_shapes(a, b, c);
-  decltype(auto) ra = detail::resolve_matrix(a);
-  decltype(auto) rb = detail::resolve_matrix(b);
-  auto t = detail::ewise_mult_matrix<CT>(op, ra, rb);
-  detail::write_matrix_result(c, t, mask, accum, outp);
+  detail::run_ewise<false>(c, mask, accum, op, a, b, outp);
 }
 
 /// w<m, z> = w (+) (u ⊗ v).
@@ -248,11 +106,7 @@ template <typename WT, typename MaskT, typename AccumT, typename BinaryOpT,
 void eWiseMult(Vector<WT>& w, const MaskT& mask, AccumT accum,
                const BinaryOpT& op, const Vector<UT>& u, const Vector<VT>& v,
                OutputControl outp = OutputControl::kMerge) {
-  if (u.size() != v.size() || w.size() != u.size()) {
-    throw DimensionException("eWiseMult: vector sizes differ");
-  }
-  auto t = detail::ewise_mult_vector<WT>(op, u, v);
-  detail::write_vector_result(w, t, mask, accum, outp);
+  detail::run_ewise<false>(w, mask, accum, op, u, v, outp);
 }
 
 }  // namespace gbtl

@@ -1,7 +1,8 @@
 // gbtl/ops/mxm.hpp — masked matrix-matrix multiply over a semiring:
 //   C<M, z> = C (+) A ⊕.⊗ B
 //
-// Kernel selection:
+// The loops live in gbtl/core.hpp and the dtype-only driver in
+// gbtl/detail/drivers.hpp (mxm_driver). Kernel selection:
 //   * A, B in row layout      — Gustavson row-at-a-time with an SPA.
 //   * B transposed            — dot-product kernel over sorted row pairs;
 //                               when a plain (non-complemented) matrix mask
@@ -12,285 +13,15 @@
 //                               Gustavson kernel is used.
 #pragma once
 
-#include <algorithm>
-#include <cstdlib>
-#include <utility>
-#include <vector>
+#include <type_traits>
 
-#include "gbtl/algebra.hpp"
-#include "gbtl/detail/backend.hpp"
-#include "gbtl/detail/parallel.hpp"
-#include "gbtl/detail/spa.hpp"
-#include "gbtl/detail/transpose_cache.hpp"
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
 #include "gbtl/types.hpp"
 #include "gbtl/views.hpp"
 
 namespace gbtl {
-
-namespace detail {
-
-/// SPA working-set budget for the simd backend's L2-tiled Gustavson
-/// kernel. Mutable slot (PYGB_MXM_TILE_BYTES seeds it) so the property
-/// tests can force tiling on tiny matrices.
-inline std::uint64_t& mxm_tile_bytes() noexcept {
-  static std::uint64_t bytes = [] {
-    const char* v = std::getenv("PYGB_MXM_TILE_BYTES");
-    return (v != nullptr && *v != '\0')
-               ? static_cast<std::uint64_t>(std::atoll(v))
-               : std::uint64_t{256} * 1024;
-  }();
-  return bytes;
-}
-
-/// True when a plain-mask row stores no truthy value — the whole output
-/// row is masked out and (write_matrix_result never reading masked-out T
-/// entries) legal to skip computing.
-template <typename Row>
-bool mask_row_all_out(const Row& r) {
-  for (const auto& [j, v] : r) {
-    if (static_cast<bool>(v)) return false;
-  }
-  return true;
-}
-
-/// Materialize the transpose of a sparse matrix (O(nnz + nrows + ncols)).
-template <typename T>
-Matrix<T> materialize_transpose(const Matrix<T>& a) {
-  Matrix<T> at(a.ncols(), a.nrows());
-  // Two-pass: count per-output-row, then fill in order. Filling in row-major
-  // input order appends strictly increasing column indices per output row,
-  // so rows stay sorted without per-insert searches.
-  ScopedMemCharge charge(
-      a.ncols() * sizeof(typename Matrix<T>::Row) +
-      a.nvals() * sizeof(std::pair<IndexType, T>));
-  std::vector<typename Matrix<T>::Row> out_rows(a.ncols());
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    pool_checkpoint();
-    for (const auto& [j, v] : a.row(i)) out_rows[j].emplace_back(i, v);
-  }
-  for (IndexType j = 0; j < a.ncols(); ++j) {
-    at.setRow(j, std::move(out_rows[j]));
-  }
-  return at;
-}
-
-/// Resolve an operand that may be a TransposeView into a concrete Matrix
-/// (materializing when needed) so row-layout kernels can run on it.
-template <typename MatT>
-decltype(auto) resolve_matrix(const MatT& a) {
-  if constexpr (is_transpose_view_v<std::remove_cvref_t<MatT>>) {
-    return materialize_transpose(a.inner());
-  } else {
-    return (a);  // parenthesized: returns const Matrix<T>&
-  }
-}
-
-/// Gustavson kernel: T = A · B, both row-major. Result scalar type D3.
-/// Rows are computed independently (block-parallel when GBTL_NUM_THREADS
-/// > 1; each worker owns its SPA) and assembled sequentially.
-///
-/// Under the simd backend (`simd`):
-///   * when B is wide enough that the SPA working set exceeds
-///     mxm_tile_bytes(), each output row is computed in L2-sized column
-///     tiles — A's row is re-walked per tile with a lower_bound into B's
-///     rows, so only the tile's SPA pages stay hot. Bit-identical to the
-///     untiled loop: per output column j the contributing k's arrive in
-///     the same ascending-a-row order inside exactly one tile.
-///   * a plain matrix mask whose row i stores no truthy entry skips row i
-///     entirely (masked-out T entries are never read by the writer).
-template <typename D3, typename AT, typename BT, typename SemiringT,
-          typename MaskT = NoMask>
-Matrix<D3> mxm_gustavson(const SemiringT& sr, const Matrix<AT>& a,
-                         const Matrix<BT>& b, const MaskT& mask = NoMask{},
-                         bool simd = false) {
-  constexpr bool kRowMask = requires { mask.row(IndexType{0}); };
-  Matrix<D3> t(a.nrows(), b.ncols());
-  ScopedMemCharge charge(a.nrows() * sizeof(typename Matrix<D3>::Row));
-  std::vector<typename Matrix<D3>::Row> out_rows(a.nrows());
-
-  const IndexType ncols = b.ncols();
-  IndexType tile_cols = ncols;
-  if (simd) {
-    const std::uint64_t per_col = sizeof(D3) + 1;  // SPA value + flag
-    const std::uint64_t budget = mxm_tile_bytes();
-    if (static_cast<std::uint64_t>(ncols) * per_col > budget) {
-      tile_cols = static_cast<IndexType>(
-          std::max<std::uint64_t>(64, budget / per_col));
-    }
-  }
-  const bool tiled = tile_cols < ncols;
-
-  detail::parallel_for_rows(a.nrows(), [&](IndexType begin, IndexType end) {
-    SparseAccumulator<D3> spa(b.ncols());
-    auto add = [&sr](const D3& x, const D3& y) { return sr.add(x, y); };
-    auto tile_lower = [](const auto& rb, IndexType col) {
-      return std::lower_bound(
-          rb.begin(), rb.end(), col,
-          [](const auto& e, IndexType c) { return e.first < c; });
-    };
-    for (IndexType i = begin; i < end; ++i) {
-      pool_checkpoint();
-      if constexpr (kRowMask) {
-        if (simd && mask_row_all_out(mask.row(i))) continue;
-      }
-      const auto& ra = a.row(i);
-      if (ra.empty()) continue;
-      if (!tiled) {
-        for (const auto& [k, av] : ra) {
-          for (const auto& [j, bv] : b.row(k)) {
-            spa.accumulate(j, static_cast<D3>(sr.mult(av, bv)), add);
-          }
-        }
-        if (spa.touched_count() != 0) {
-          spa.extract_sorted_and_reset(out_rows[i]);
-        }
-      } else {
-        auto& out = out_rows[i];
-        for (IndexType t0 = 0; t0 < ncols; t0 += tile_cols) {
-          const IndexType t1 =
-              t0 + tile_cols < ncols ? t0 + tile_cols : ncols;
-          for (const auto& [k, av] : ra) {
-            const auto& rb = b.row(k);
-            for (auto it = tile_lower(rb, t0);
-                 it != rb.end() && it->first < t1; ++it) {
-              spa.accumulate(it->first,
-                             static_cast<D3>(sr.mult(av, it->second)), add);
-            }
-          }
-          if (spa.touched_count() != 0) spa.extract_sorted_append(out);
-        }
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    if (!out_rows[i].empty()) t.setRow(i, std::move(out_rows[i]));
-  }
-  return t;
-}
-
-/// Sorted-intersection dot product of two rows under a semiring.
-/// Returns (found, value).
-template <typename D3, typename RowA, typename RowB, typename SemiringT>
-std::pair<bool, D3> row_dot(const SemiringT& sr, const RowA& ra,
-                            const RowB& rb) {
-  bool found = false;
-  D3 acc{};
-  auto ia = ra.begin();
-  auto ib = rb.begin();
-  while (ia != ra.end() && ib != rb.end()) {
-    if (ia->first < ib->first) {
-      ++ia;
-    } else if (ib->first < ia->first) {
-      ++ib;
-    } else {
-      const D3 prod = static_cast<D3>(sr.mult(ia->second, ib->second));
-      acc = found ? sr.add(acc, prod) : prod;
-      found = true;
-      ++ia;
-      ++ib;
-    }
-  }
-  return {found, acc};
-}
-
-/// Dot kernel: T = A · B^T (b passed un-transposed, rows of b are the
-/// columns of B^T). Computes every (i, j) pair.
-template <typename D3, typename AT, typename BT, typename SemiringT>
-Matrix<D3> mxm_dot_all(const SemiringT& sr, const Matrix<AT>& a,
-                       const Matrix<BT>& b) {
-  Matrix<D3> t(a.nrows(), b.nrows());
-  ScopedMemCharge charge(a.nrows() * sizeof(typename Matrix<D3>::Row));
-  std::vector<typename Matrix<D3>::Row> out_rows(a.nrows());
-  detail::parallel_for_rows(a.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      pool_checkpoint();
-      const auto& ra = a.row(i);
-      if (ra.empty()) continue;
-      for (IndexType j = 0; j < b.nrows(); ++j) {
-        auto [found, val] = row_dot<D3>(sr, ra, b.row(j));
-        if (found) out_rows[i].emplace_back(j, val);
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    if (!out_rows[i].empty()) t.setRow(i, std::move(out_rows[i]));
-  }
-  return t;
-}
-
-/// Masked dot kernel: only positions where the plain matrix mask stores a
-/// truthy value are computed (valid because masked-out T entries are never
-/// written). This is the Fig. 5 triangle-counting fast path.
-template <typename D3, typename AT, typename BT, typename MT,
-          typename SemiringT>
-Matrix<D3> mxm_dot_masked(const SemiringT& sr, const Matrix<AT>& a,
-                          const Matrix<BT>& b, const Matrix<MT>& mask) {
-  Matrix<D3> t(a.nrows(), b.nrows());
-  ScopedMemCharge charge(a.nrows() * sizeof(typename Matrix<D3>::Row));
-  std::vector<typename Matrix<D3>::Row> out_rows(a.nrows());
-  detail::parallel_for_rows(a.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      pool_checkpoint();
-      const auto& ra = a.row(i);
-      if (ra.empty()) continue;
-      for (const auto& [j, mv] : mask.row(i)) {
-        if (!static_cast<bool>(mv)) continue;
-        auto [found, val] = row_dot<D3>(sr, ra, b.row(j));
-        if (found) out_rows[i].emplace_back(j, val);
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    if (!out_rows[i].empty()) t.setRow(i, std::move(out_rows[i]));
-  }
-  return t;
-}
-
-/// Compute T for any combination of plain/transposed A and B.
-template <typename D3, typename AMatT, typename BMatT, typename MaskT,
-          typename SemiringT>
-Matrix<D3> mxm_compute(const SemiringT& sr, const AMatT& a, const BMatT& b,
-                       const MaskT& mask, bool simd = false) {
-  constexpr bool a_trans = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
-  constexpr bool b_trans = is_transpose_view_v<std::remove_cvref_t<BMatT>>;
-  if constexpr (!a_trans && !b_trans) {
-    return mxm_gustavson<D3>(sr, a, b, mask, simd);
-  } else if constexpr (!a_trans && b_trans) {
-    if constexpr (requires { mask.row(IndexType{0}); }) {
-      return mxm_dot_masked<D3>(sr, a, b.inner(), mask);
-    } else {
-      (void)mask;
-      return mxm_dot_all<D3>(sr, a, b.inner());
-    }
-  } else if constexpr (a_trans && !b_trans) {
-    if (simd) {
-      // Cached snapshot: iterative algorithms multiplying by the same A^T
-      // every step materialize the transpose once.
-      auto at = cached_transpose(a.inner());
-      return mxm_gustavson<D3>(sr, *at, b, mask, simd);
-    }
-    auto at = materialize_transpose(a.inner());
-    return mxm_gustavson<D3>(sr, at, b);
-  } else {
-    // A^T · B^T = (B · A)^T — compute B·A then transpose the result. The
-    // mask does not align with B·A's rows, so no push-down here.
-    auto ba = mxm_gustavson<D3>(sr, b.inner(), a.inner(), NoMask{}, simd);
-    return materialize_transpose(ba);
-  }
-}
-
-template <typename X>
-IndexType generic_nrows(const X& x) {
-  return x.nrows();
-}
-template <typename X>
-IndexType generic_ncols(const X& x) {
-  return x.ncols();
-}
-
-}  // namespace detail
 
 /// C<M, z> = C (+) A ⊕.⊗ B. A and B may be Matrix or TransposeView;
 /// M may be NoMask, a Matrix, or a MatrixComplementView; accum may be
@@ -300,17 +31,28 @@ template <typename CT, typename MaskT, typename AccumT, typename SemiringT,
 void mxm(Matrix<CT>& c, const MaskT& mask, AccumT accum, const SemiringT& sr,
          const AMatT& a, const BMatT& b,
          OutputControl outp = OutputControl::kMerge) {
-  if (detail::generic_ncols(a) != detail::generic_nrows(b)) {
-    throw DimensionException("mxm: ncols(A) != nrows(B)");
-  }
-  if (c.nrows() != detail::generic_nrows(a) ||
-      c.ncols() != detail::generic_ncols(b)) {
-    throw DimensionException("mxm: output shape != nrows(A) x ncols(B)");
-  }
-  // Read the backend ONCE on the calling thread (worker threads must not
-  // consult their own, unset thread-local slot).
-  auto t = detail::mxm_compute<CT>(sr, a, b, mask, detail::simd_enabled());
-  detail::write_matrix_result(c, t, mask, accum, outp);
+  using AT = typename AMatT::ScalarType;
+  using BT = typename BMatT::ScalarType;
+  constexpr bool a_trans = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
+  constexpr bool b_trans = is_transpose_view_v<std::remove_cvref_t<BMatT>>;
+  // Only a plain (non-complemented) matrix mask restricts the dots.
+  constexpr bool plain_mask = requires { mask.row(IndexType{0}); };
+  const detail::BoolMask<MaskT> m(mask);
+  MxmCall call;
+  call.c = &c;
+  call.a = &detail::stored_matrix(a);
+  call.a_ops = detail::operand_ops<AT>();
+  call.b = &detail::stored_matrix(b);
+  call.b_ops = detail::operand_ops<BT>();
+  call.mask = m.arg();
+  call.a_transposed = a_trans;
+  call.b_transposed = b_trans;
+  call.replace = outp == OutputControl::kReplace;
+  call.sr = &sr;
+  call.core = core::mxm_core<CT, AT, BT, SemiringT, a_trans, b_trans,
+                             plain_mask>();
+  call.accum = core::mat_accum<CT>(accum);
+  detail::mxm_driver<CT>(call);
 }
 
 }  // namespace gbtl

@@ -2,7 +2,8 @@
 //   w<m, z> = w (+) A ⊕.⊗ u        (mxv)
 //   w<m, z> = w (+) u ⊕.⊗ A        (vxm)
 //
-// Kernels:
+// The loops live in gbtl/core.hpp (mv_pull / mv_push) and the dtype-only
+// driver in gbtl/detail/drivers.hpp (mxv_driver). Kernels:
 //   * mxv, A row-major       — per-row "pull" dot against u's O(1) lookup.
 //   * mxv, A transposed      — "push" scatter over the stored entries of u
 //                              (the BFS frontier expansion of Fig. 2:
@@ -25,13 +26,10 @@
 // so those entries are legal to skip computing.
 #pragma once
 
-#include <cstdlib>
+#include <type_traits>
 
-#include "gbtl/algebra.hpp"
-#include "gbtl/detail/backend.hpp"
-#include "gbtl/detail/parallel.hpp"
-#include "gbtl/detail/transpose_cache.hpp"
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
@@ -41,131 +39,27 @@ namespace gbtl {
 
 namespace detail {
 
-/// Input-vector density at or above which the push-orientation sites pull
-/// over the cached transpose instead. 0 forces pull everywhere stored
-/// entries exist; values > 1 force push. Eligibility alone doesn't build
-/// the transpose: the first eligible request on a matrix still pushes
-/// (cached_transpose_if_amortized), so single-use matrices never pay the
-/// O(nnz) materialization.
-inline double mxv_pull_threshold() noexcept {
-  static const double t = [] {
-    const char* v = std::getenv("PYGB_MXV_PULL_THRESHOLD");
-    return (v != nullptr && *v != '\0') ? std::atof(v) : 0.10;
-  }();
-  return t;
-}
-
-inline bool mxv_should_pull(std::size_t nvals, IndexType size) noexcept {
-  return size != 0 && static_cast<double>(nvals) >=
-                          mxv_pull_threshold() * static_cast<double>(size);
-}
-
-/// Pull kernel: t[i] = ⊕_j mult(A(i,j), u(j)) over stored matches.
-/// MultFlip=false computes mult(a, u); true computes mult(u, a) (for vxm).
-/// Output rows are independent, so the row loop is block-parallel when
-/// GBTL_NUM_THREADS > 1 (workers fill disjoint staging slots; the vector's
-/// shared nvals bookkeeping is updated in the sequential assembly pass).
-///
-/// `mask` + `mask_pushdown`: with push-down enabled, masked-out output
-/// positions are skipped entirely (write_vector_result never reads them).
-/// `dense_u` skips the per-entry presence probes — legal only when every
-/// position of u is stored; the fold order is unchanged either way.
-template <bool MultFlip, typename D3, typename AT, typename UT,
-          typename SemiringT, typename MaskT = NoMask>
-Vector<D3> mv_pull(const SemiringT& sr, const Matrix<AT>& a,
-                   const Vector<UT>& u, const MaskT& mask = NoMask{},
-                   bool mask_pushdown = false, bool dense_u = false) {
-  Vector<D3> t(a.nrows());
-  ScopedMemCharge charge(a.nrows() * (1 + sizeof(D3)));
-  std::vector<unsigned char> present(a.nrows(), 0);
-  std::vector<D3> vals(a.nrows());
-  detail::parallel_for_rows(a.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      pool_checkpoint();
-      if (mask_pushdown && !mask_value(mask, i)) continue;
-      bool found = false;
-      D3 acc{};
-      if (dense_u) {
-        const auto& row = a.row(i);
-        if (!row.empty()) {
-          found = true;
-          auto it = row.begin();
-          if constexpr (MultFlip) {
-            acc = static_cast<D3>(sr.mult(u.value_unchecked(it->first),
-                                          it->second));
-            for (++it; it != row.end(); ++it) {
-              acc = sr.add(acc, static_cast<D3>(sr.mult(
-                                    u.value_unchecked(it->first),
-                                    it->second)));
-            }
-          } else {
-            acc = static_cast<D3>(sr.mult(it->second,
-                                          u.value_unchecked(it->first)));
-            for (++it; it != row.end(); ++it) {
-              acc = sr.add(acc, static_cast<D3>(sr.mult(
-                                    it->second,
-                                    u.value_unchecked(it->first))));
-            }
-          }
-        }
-      } else {
-        for (const auto& [j, av] : a.row(i)) {
-          if (!u.has_unchecked(j)) continue;
-          D3 prod;
-          if constexpr (MultFlip) {
-            prod = static_cast<D3>(sr.mult(u.value_unchecked(j), av));
-          } else {
-            prod = static_cast<D3>(sr.mult(av, u.value_unchecked(j)));
-          }
-          acc = found ? sr.add(acc, prod) : prod;
-          found = true;
-        }
-      }
-      if (found) {
-        present[i] = 1;
-        vals[i] = acc;
-      }
-    }
-  });
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    if (present[i]) t.set_unchecked(i, vals[i]);
-  }
-  return t;
-}
-
-/// Push kernel: t[j] ⊕= mult(A(i,j), u(i)) for stored u(i) — computes
-/// A^T·u (or u·A) touching only rows where u has entries. Scatter targets
-/// collide across rows, so this kernel stays sequential (a parallel
-/// version would need per-worker accumulators merged with ⊕).
-template <bool MultFlip, typename D3, typename AT, typename UT,
-          typename SemiringT, typename MaskT = NoMask>
-Vector<D3> mv_push(const SemiringT& sr, const Matrix<AT>& a,
-                   const Vector<UT>& u, const MaskT& mask = NoMask{},
-                   bool mask_pushdown = false) {
-  Vector<D3> t(a.ncols());
-  ScopedMemCharge charge(a.ncols() / 8 + 1);  // vector<bool> bitmap
-  std::vector<bool> present(a.ncols(), false);
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    pool_checkpoint();
-    if (!u.has_unchecked(i)) continue;
-    const UT uv = u.value_unchecked(i);
-    for (const auto& [j, av] : a.row(i)) {
-      if (mask_pushdown && !mask_value(mask, j)) continue;
-      D3 prod;
-      if constexpr (MultFlip) {
-        prod = static_cast<D3>(sr.mult(uv, av));
-      } else {
-        prod = static_cast<D3>(sr.mult(av, uv));
-      }
-      if (present[j]) {
-        t.set_unchecked(j, sr.add(t.value_unchecked(j), prod));
-      } else {
-        present[j] = true;
-        t.set_unchecked(j, prod);
-      }
-    }
-  }
-  return t;
+template <bool Vxm, typename WT, typename MaskT, typename AccumT,
+          typename SemiringT, typename AMatT, typename UT>
+void run_mxv(Vector<WT>& w, const MaskT& mask, const AccumT& accum,
+             const SemiringT& sr, const AMatT& a, const Vector<UT>& u,
+             OutputControl outp) {
+  using AT = typename AMatT::ScalarType;
+  const BoolMask<MaskT> m(mask);
+  MxvCall call;
+  call.w = &w;
+  call.a = &stored_matrix(a);
+  call.a_ops = operand_ops<AT>();
+  call.u = &u;
+  call.u_ops = operand_ops<UT>();
+  call.mask = m.arg();
+  call.a_transposed = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
+  call.vxm = Vxm;
+  call.replace = outp == OutputControl::kReplace;
+  call.sr = &sr;
+  call.core = core::mv_core<Vxm, WT, AT, UT, SemiringT>();
+  call.accum = core::vec_accum<WT>(accum);
+  mxv_driver<WT>(call);
 }
 
 }  // namespace detail
@@ -176,34 +70,7 @@ template <typename WT, typename MaskT, typename AccumT, typename SemiringT,
 void mxv(Vector<WT>& w, const MaskT& mask, AccumT accum, const SemiringT& sr,
          const AMatT& a, const Vector<UT>& u,
          OutputControl outp = OutputControl::kMerge) {
-  constexpr bool a_trans = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
-  if (detail::generic_ncols(a) != u.size()) {
-    throw DimensionException("mxv: ncols(A) != size(u)");
-  }
-  if (w.size() != detail::generic_nrows(a)) {
-    throw DimensionException("mxv: size(w) != nrows(A)");
-  }
-  // Read the backend ONCE on the calling thread (worker threads must not
-  // consult their own, unset thread-local slot).
-  const bool simd = detail::simd_enabled();
-  Vector<WT> t = [&] {
-    if constexpr (a_trans) {
-      // Push-orientation site (A^T·u): direction-optimize under simd.
-      if (simd && detail::mxv_should_pull(u.nvals(), u.size())) {
-        if (auto at = detail::cached_transpose_if_amortized(a.inner())) {
-          detail::pool_flight_note("mxv_pull", u.nvals(), u.size());
-          return detail::mv_pull<false, WT>(sr, *at, u, mask, simd,
-                                            u.nvals() == u.size());
-        }
-      }
-      if (simd) detail::pool_flight_note("mxv_push", u.nvals(), u.size());
-      return detail::mv_push<false, WT>(sr, a.inner(), u, mask, simd);
-    } else {
-      return detail::mv_pull<false, WT>(sr, a, u, mask, simd,
-                                        simd && u.nvals() == u.size());
-    }
-  }();
-  detail::write_vector_result(w, t, mask, accum, outp);
+  detail::run_mxv<false>(w, mask, accum, sr, a, u, outp);
 }
 
 /// w<m, z> = w (+) u ⊕.⊗ A (row vector times matrix).
@@ -212,32 +79,7 @@ template <typename WT, typename MaskT, typename AccumT, typename SemiringT,
 void vxm(Vector<WT>& w, const MaskT& mask, AccumT accum, const SemiringT& sr,
          const Vector<UT>& u, const AMatT& a,
          OutputControl outp = OutputControl::kMerge) {
-  constexpr bool a_trans = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
-  if (detail::generic_nrows(a) != u.size()) {
-    throw DimensionException("vxm: nrows(A) != size(u)");
-  }
-  if (w.size() != detail::generic_ncols(a)) {
-    throw DimensionException("vxm: size(w) != ncols(A)");
-  }
-  const bool simd = detail::simd_enabled();
-  Vector<WT> t = [&] {
-    if constexpr (a_trans) {
-      return detail::mv_pull<true, WT>(sr, a.inner(), u, mask, simd,
-                                       simd && u.nvals() == u.size());
-    } else {
-      // Push-orientation site (u·A = A^T·u): direction-optimize under simd.
-      if (simd && detail::mxv_should_pull(u.nvals(), u.size())) {
-        if (auto at = detail::cached_transpose_if_amortized(a)) {
-          detail::pool_flight_note("mxv_pull", u.nvals(), u.size());
-          return detail::mv_pull<true, WT>(sr, *at, u, mask, simd,
-                                           u.nvals() == u.size());
-        }
-      }
-      if (simd) detail::pool_flight_note("mxv_push", u.nvals(), u.size());
-      return detail::mv_push<true, WT>(sr, a, u, mask, simd);
-    }
-  }();
-  detail::write_vector_result(w, t, mask, accum, outp);
+  detail::run_mxv<true>(w, mask, accum, sr, a, u, outp);
 }
 
 }  // namespace gbtl

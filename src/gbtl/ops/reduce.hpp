@@ -14,40 +14,16 @@
 // row/tile boundaries rather than by the partition.
 #pragma once
 
-#include <algorithm>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
-#include "gbtl/detail/backend.hpp"
-#include "gbtl/detail/parallel.hpp"
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
-#include "gbtl/ops/mxm.hpp"  // materialize_transpose / resolve helpers
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
 #include "gbtl/views.hpp"
 
 namespace gbtl {
-
-namespace detail {
-
-/// Tile width for vector → scalar reductions: partials are folded per tile
-/// so the combine order is a function of the vector length alone.
-inline constexpr IndexType kScalarReduceTile = 1024;
-
-/// Fold one matrix row with a monoid (empty row → (false, unspecified)).
-template <typename D3, typename RowT, typename MonoidT>
-std::pair<bool, D3> reduce_row(const MonoidT& monoid, const RowT& row) {
-  if (row.empty()) return {false, D3{}};
-  D3 acc = static_cast<D3>(row.front().second);
-  for (auto it = row.begin() + 1; it != row.end(); ++it) {
-    acc = monoid(acc, static_cast<D3>(it->second));
-  }
-  return {true, acc};
-}
-
-}  // namespace detail
 
 /// Row-wise reduce of a matrix into a vector.
 template <typename WT, typename MaskT, typename AccumT, typename MonoidT,
@@ -55,29 +31,21 @@ template <typename WT, typename MaskT, typename AccumT, typename MonoidT,
 void reduce(Vector<WT>& w, const MaskT& mask, AccumT accum,
             const MonoidT& monoid, const AMatT& a,
             OutputControl outp = OutputControl::kMerge) {
-  if (w.size() != detail::generic_nrows(a)) {
-    throw DimensionException("reduce: size(w) != nrows(A)");
-  }
-  decltype(auto) ra = detail::resolve_matrix(a);
-  using D3 = typename MonoidT::ScalarType;
-  Vector<D3> t(w.size());
-  detail::ScopedMemCharge charge(ra.nrows() * (1 + sizeof(D3)));
-  std::vector<unsigned char> present(ra.nrows(), 0);
-  std::vector<D3> vals(ra.nrows());
-  detail::parallel_for_rows(ra.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      detail::pool_checkpoint();
-      auto [found, acc] = detail::reduce_row<D3>(monoid, ra.row(i));
-      if (found) {
-        present[i] = 1;
-        vals[i] = acc;
-      }
-    }
-  });
-  for (IndexType i = 0; i < ra.nrows(); ++i) {
-    if (present[i]) t.set_unchecked(i, vals[i]);
-  }
-  detail::write_vector_result(w, t, mask, accum, outp);
+  using AT = typename AMatT::ScalarType;
+  static_assert(std::is_convertible_v<typename MonoidT::ScalarType, WT>,
+                "reduce: the monoid's type must convert to the output's");
+  const detail::BoolMask<MaskT> m(mask);
+  ReduceMVCall call;
+  call.w = &w;
+  call.a = &detail::stored_matrix(a);
+  call.a_ops = detail::operand_ops<AT>();
+  call.mask = m.arg();
+  call.a_transposed = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
+  call.replace = outp == OutputControl::kReplace;
+  call.monoid = &monoid;
+  call.core = core::reduce_m_v_core<WT, AT, MonoidT>();
+  call.accum = core::vec_accum<WT>(accum);
+  detail::reduce_m_v_driver<WT>(call);
 }
 
 /// Reduce a whole matrix into a scalar. With NoAccumulate the result
@@ -86,96 +54,30 @@ void reduce(Vector<WT>& w, const MaskT& mask, AccumT accum,
 /// behaviour matching GBTL).
 template <typename ValueT, typename AccumT, typename MonoidT, typename AMatT>
 void reduce(ValueT& val, AccumT accum, const MonoidT& monoid, const AMatT& a) {
-  decltype(auto) ra = detail::resolve_matrix(a);
-  using D3 = typename MonoidT::ScalarType;
-  if (ra.nvals() == 0) return;
-  // Per-row partials combined in row order: the grouping is fixed by the
-  // matrix structure, so the result is identical at every thread count.
-  detail::ScopedMemCharge charge(ra.nrows() * (1 + sizeof(D3)));
-  std::vector<unsigned char> present(ra.nrows(), 0);
-  std::vector<D3> partial(ra.nrows());
-  detail::parallel_for_rows(ra.nrows(), [&](IndexType begin, IndexType end) {
-    for (IndexType i = begin; i < end; ++i) {
-      detail::pool_checkpoint();
-      auto [found, row_acc] = detail::reduce_row<D3>(monoid, ra.row(i));
-      if (found) {
-        present[i] = 1;
-        partial[i] = row_acc;
-      }
-    }
-  });
-  D3 acc = MonoidT::identity();
-  for (IndexType i = 0; i < ra.nrows(); ++i) {
-    if (present[i]) acc = monoid(acc, partial[i]);
-  }
-  if constexpr (detail::no_accum_v<AccumT>) {
-    val = static_cast<ValueT>(acc);
-  } else {
-    val = static_cast<ValueT>(accum(val, acc));
-  }
+  using AT = typename AMatT::ScalarType;
+  ReduceSCall call;
+  call.val = &val;
+  call.a = &detail::stored_matrix(a);
+  call.a_ops = detail::operand_ops<AT>();
+  call.a_transposed = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
+  call.monoid = &monoid;
+  call.accum = &accum;
+  call.core = core::reduce_m_s_core<ValueT, AT, MonoidT, AccumT>();
+  detail::reduce_m_s_driver<typename MonoidT::ScalarType>(call);
 }
 
 /// Reduce a vector into a scalar (same conventions as the matrix overload).
 template <typename ValueT, typename AccumT, typename MonoidT, typename UT>
 void reduce(ValueT& val, AccumT accum, const MonoidT& monoid,
             const Vector<UT>& u) {
-  using D3 = typename MonoidT::ScalarType;
-  if (u.nvals() == 0) return;
-  // Fixed-width tile partials combined in tile order: the grouping depends
-  // only on the vector length, never on the partition (see header comment).
-  const IndexType tiles =
-      (u.size() + detail::kScalarReduceTile - 1) / detail::kScalarReduceTile;
-  detail::ScopedMemCharge charge(tiles * (1 + sizeof(D3)));
-  std::vector<unsigned char> present(tiles, 0);
-  std::vector<D3> partial(tiles);
-  // simd-backend fast path: with every position stored, the presence probes
-  // are pure overhead — fold the contiguous value array directly. Same
-  // tile boundaries and left-fold order as the probing loop, so the result
-  // is bit-identical. Backend is read ONCE here on the calling thread.
-  // (Vector<bool> packs its values; no contiguous array to walk.)
-  constexpr bool kDenseOk = !std::is_same_v<UT, bool>;
-  const bool dense = kDenseOk && detail::simd_enabled() && u.fully_dense();
-  detail::parallel_for_rows(tiles, [&](IndexType begin, IndexType end) {
-    for (IndexType tile = begin; tile < end; ++tile) {
-      detail::pool_checkpoint();
-      const IndexType lo = tile * detail::kScalarReduceTile;
-      const IndexType hi =
-          std::min(u.size(), lo + detail::kScalarReduceTile);
-      if constexpr (kDenseOk) {
-        if (dense) {
-          const UT* vp = u.vals();
-          D3 tile_acc = static_cast<D3>(vp[lo]);
-          for (IndexType i = lo + 1; i < hi; ++i) {
-            tile_acc = monoid(tile_acc, static_cast<D3>(vp[i]));
-          }
-          present[tile] = 1;
-          partial[tile] = tile_acc;
-          continue;
-        }
-      }
-      bool found = false;
-      D3 tile_acc{};
-      for (IndexType i = lo; i < hi; ++i) {
-        if (!u.has_unchecked(i)) continue;
-        const D3 v = static_cast<D3>(u.value_unchecked(i));
-        tile_acc = found ? monoid(tile_acc, v) : v;
-        found = true;
-      }
-      if (found) {
-        present[tile] = 1;
-        partial[tile] = tile_acc;
-      }
-    }
-  });
-  D3 acc = MonoidT::identity();
-  for (IndexType tile = 0; tile < tiles; ++tile) {
-    if (present[tile]) acc = monoid(acc, partial[tile]);
-  }
-  if constexpr (detail::no_accum_v<AccumT>) {
-    val = static_cast<ValueT>(acc);
-  } else {
-    val = static_cast<ValueT>(accum(val, acc));
-  }
+  ReduceSCall call;
+  call.val = &val;
+  call.a = &u;
+  call.a_ops = detail::operand_ops<UT>();
+  call.monoid = &monoid;
+  call.accum = &accum;
+  call.core = core::reduce_v_s_core<ValueT, UT, MonoidT, AccumT>();
+  detail::reduce_v_s_driver<typename MonoidT::ScalarType>(call);
 }
 
 }  // namespace gbtl

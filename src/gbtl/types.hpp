@@ -7,23 +7,14 @@
 // compiles to.
 #pragma once
 
-#include <concepts>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <type_traits>
+
+#include "gbtl/index.hpp"
 
 namespace gbtl {
-
-/// Index type used for all row/column positions, mirroring GrB_Index.
-using IndexType = std::uint64_t;
-
-/// Ordered list of indices (used by assign/extract index arguments).
-using IndexArray = std::vector<IndexType>;
-
-/// Sentinel meaning "all indices" — GrB_ALL / GBTL's AllIndices().
-struct AllIndices {};
 
 /// Thrown when operand dimensions do not conform (GrB_DIMENSION_MISMATCH).
 class DimensionException : public std::runtime_error {
@@ -57,22 +48,6 @@ class InvalidValueException : public std::invalid_argument {
 /// (bool, u/int 8..64, float, double) plus anything arithmetic-like.
 template <typename T>
 concept ScalarType = std::is_arithmetic_v<T>;
-
-/// Output write discipline for masked operations (C API "replace" flag).
-/// MERGE keeps masked-out entries of the output; REPLACE clears them.
-enum class OutputControl : std::uint8_t { kMerge, kReplace };
-
-/// Tag type: no accumulator — the operation result overwrites (subject to
-/// mask semantics) rather than being combined with prior output values.
-struct NoAccumulate {};
-
-/// Tag type: no write mask — every element of the output is writable.
-struct NoMask {
-  // NoMask behaves as an all-true mask of any shape.
-  static constexpr bool value_at(IndexType, IndexType) noexcept {
-    return true;
-  }
-};
 
 namespace detail {
 

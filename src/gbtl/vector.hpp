@@ -139,25 +139,10 @@ class Vector {
     vals_[i] = v;
   }
 
-  /// Every position stored? The simd backend's dense fast paths (apply,
-  /// eWise, mxv's dense-input dot) key off this to skip presence probes
-  /// and run contiguous loops over vals().
-  bool fully_dense() const noexcept { return nvals_ == size_; }
-
-  /// Raw dense value array (full length; positions without a stored value
-  /// hold unspecified data — consult the bitmap or fully_dense() first).
-  const T* vals() const noexcept { return vals_.data(); }
-
-  /// Adopt `dense` as the stored values with EVERY position present.
-  /// O(size/64) bitmap fill plus a move — the simd kernels stage results
-  /// in a plain array and install them wholesale instead of per-element
-  /// set_unchecked calls.
-  void assign_dense(std::vector<T>&& dense) {
-    assert(dense.size() == size_);
-    vals_ = std::move(dense);
-    std::fill(bitmap_.begin(), bitmap_.end(), true);
-    nvals_ = size_;
-  }
+  /// Presence bitmap and full-length value array, for the operator cores'
+  /// views (positions without a stored value hold unspecified data).
+  const std::vector<bool>& bitmap() const noexcept { return bitmap_; }
+  const std::vector<T>& values() const noexcept { return vals_; }
 
   friend bool operator==(const Vector& a, const Vector& b) {
     if (a.size_ != b.size_ || a.nvals_ != b.nvals_) return false;

@@ -120,6 +120,20 @@ struct is_nomask : std::is_same<std::remove_cvref_t<X>, NoMask> {};
 template <typename X>
 inline constexpr bool is_nomask_v = is_nomask<X>::value;
 
+namespace detail {
+
+/// Shape of a Matrix or TransposeView operand.
+template <typename X>
+IndexType generic_nrows(const X& x) {
+  return x.nrows();
+}
+template <typename X>
+IndexType generic_ncols(const X& x) {
+  return x.ncols();
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------------------------
 // Uniform mask probing: mask_value(M, i, j) / mask_value(m, i).
 // ---------------------------------------------------------------------------

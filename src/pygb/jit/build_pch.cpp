@@ -1,19 +1,20 @@
-// pygb_build_pch — precompile pygb/jit/glue.hpp for JIT module compiles.
+// pygb_build_pch — precompile the JIT module headers (pygb/jit/thin.hpp
+// and pygb/jit/glue.hpp) for JIT module compiles.
 //
 // Run at build time (the pygb_jit_pch target in src/CMakeLists.txt), never
 // by the library: a PCH takes seconds to build, and building it lazily
 // would land inside the first cold compile of every fresh cache.
 //
-// The PCH is compiled with exactly the module flags minus -shared and
-// published as <jit_pch_dir()>/pygb/jit/glue.hpp.gch (tmp + rename). The
+// Each PCH is compiled with exactly the module flags minus -shared and
+// published as <jit_pch_dir()>/pygb/jit/<header>.gch (tmp + rename). The
 // directory is named by the hash of the cache stamp — compiler identity,
 // flags, include dir and header digest — so a process whose stamp differs
-// finds no PCH and compiles without one. A run whose PCH already exists
+// finds no PCH and compiles without one. A run whose PCHs already exist
 // does nothing; a run that publishes a new one removes the other stamp
 // directories under the root, which no build of this tree uses any more.
 //
-//   pygb_build_pch        exit 0: PCH present (or no compiler: skipped)
-//                         exit 1: the compiler failed on glue.hpp
+//   pygb_build_pch        exit 0: PCHs present (or no compiler: skipped)
+//                         exit 1: the compiler failed on a header
 #include <unistd.h>
 
 #include <cstdio>
@@ -27,19 +28,17 @@
 namespace fs = std::filesystem;
 using namespace pygb::jit;  // NOLINT
 
-int main() {
-  const std::string dir = jit_pch_dir();
-  if (dir.empty() || !compiler_available()) {
-    std::printf("pygb_build_pch: no compiler or PCH root; JIT modules "
-                "compile without a PCH\n");
-    return 0;
-  }
-  const fs::path gch = fs::path(dir) / kPchFile;
+namespace {
+
+/// Precompile `file` (a kPchFiles entry) into `dir`. Returns false, with
+/// the compiler's output on stderr, when the compile fails.
+bool build_one(const fs::path& dir, const std::string& file) {
+  const fs::path gch = dir / file;
   std::error_code ec;
-  if (fs::is_regular_file(gch, ec)) return 0;
   fs::create_directories(gch.parent_path(), ec);
   const fs::path tmp =
       gch.string() + "." + std::to_string(::getpid()) + ".tmp";
+  const std::string header = file.substr(0, file.size() - 4);  // ".gch"
 
   RunOptions opt;
   opt.argv = split_command(compiler_command());
@@ -53,7 +52,7 @@ int main() {
   opt.argv.push_back("-x");
   opt.argv.push_back("c++-header");
   opt.argv.push_back("-I" + include);
-  opt.argv.push_back(include + "/pygb/jit/glue.hpp");
+  opt.argv.push_back(include + "/" + header);
   opt.argv.push_back("-o");
   opt.argv.push_back(tmp.string());
   const RunOutcome ro = run_subprocess(opt);
@@ -61,18 +60,39 @@ int main() {
     fs::remove(tmp, ec);
     std::fprintf(stderr, "pygb_build_pch: %s\n%s", ro.describe().c_str(),
                  ro.captured.c_str());
-    return 1;
+    return false;
   }
   fs::rename(tmp, gch, ec);
   if (ec) {
     fs::remove(tmp, ec);
     std::fprintf(stderr, "pygb_build_pch: cannot publish %s: %s\n",
                  gch.c_str(), ec.message().c_str());
-    return 1;
+    return false;
   }
+  std::printf("pygb_build_pch: %s\n", gch.c_str());
+  return true;
+}
+
+}  // namespace
+
+int main() {
+  const std::string dir = jit_pch_dir();
+  if (dir.empty() || !compiler_available()) {
+    std::printf("pygb_build_pch: no compiler or PCH root; JIT modules "
+                "compile without a PCH\n");
+    return 0;
+  }
+  bool published = false;
+  for (const char* file : kPchFiles) {
+    std::error_code ec;
+    if (fs::is_regular_file(fs::path(dir) / file, ec)) continue;
+    if (!build_one(dir, file)) return 1;
+    published = true;
+  }
+  if (!published) return 0;
+  std::error_code ec;
   for (const auto& entry : fs::directory_iterator(jit_pch_root(), ec)) {
     if (entry.path() != fs::path(dir)) fs::remove_all(entry.path(), ec);
   }
-  std::printf("pygb_build_pch: %s\n", gch.c_str());
   return 0;
 }

@@ -128,7 +128,10 @@ std::string jit_pch_dir() {
 std::string active_pch_dir() {
   std::string dir = jit_pch_dir();
   std::error_code ec;
-  if (dir.empty() || !fs::is_regular_file(dir + "/" + kPchFile, ec)) return "";
+  if (dir.empty()) return "";
+  for (const char* file : kPchFiles) {
+    if (!fs::is_regular_file(dir + "/" + file, ec)) return "";
+  }
   return dir;
 }
 

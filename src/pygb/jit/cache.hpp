@@ -58,11 +58,15 @@ namespace pygb::jit {
 /// v8: the stamp carries a digest of the headers generated modules
 /// compile against (`|headers=`), which also names the build-time PCH
 /// directory; v7 stamps said nothing about header contents.
-inline constexpr int kCacheSchemaVersion = 8;
+/// v9: thin modules — the operator-carrying single-op families include
+/// pygb/jit/thin.hpp, compile only their operator cores and call the
+/// dtype-only drivers through PoolApi v5; a v8 module would run the old
+/// whole-op bodies against a v5 table it rejects.
+inline constexpr int kCacheSchemaVersion = 9;
 
 /// Include subdirectories whose `*.hpp` files header_digest() covers:
-/// everything pygb/jit/glue.hpp (and so every generated module and the
-/// PCH) can include from the project.
+/// everything pygb/jit/glue.hpp and pygb/jit/thin.hpp (and so every
+/// generated module and both PCHs) can include from the project.
 inline constexpr const char* kStampedHeaderDirs[] = {"pygb", "gbtl",
                                                      "algorithms"};
 
@@ -82,9 +86,13 @@ std::string cache_stamp();
 /// place.
 void forget_header_digests();
 
-/// The precompiled glue.hpp, relative to a PCH directory: a directory
-/// placed first on `-I` makes `#include "pygb/jit/glue.hpp"` find it.
+/// The precompiled module headers, relative to a PCH directory: a
+/// directory placed first on `-I` makes `#include "pygb/jit/glue.hpp"`
+/// (fused chains, algorithms, assign/extract/transpose) and
+/// `#include "pygb/jit/thin.hpp"` (every other single op) find them.
 inline constexpr const char* kPchFile = "pygb/jit/glue.hpp.gch";
+inline constexpr const char* kThinPchFile = "pygb/jit/thin.hpp.gch";
+inline constexpr const char* kPchFiles[] = {kThinPchFile, kPchFile};
 
 /// Root of the build-time PCH tree, `<build>/jit_pch` (baked in at build
 /// time; "" when the library was built without one).
@@ -96,7 +104,7 @@ std::string jit_pch_root();
 /// found by name. Built by the pygb_build_pch tool (src/CMakeLists.txt).
 std::string jit_pch_dir();
 
-/// jit_pch_dir() when its kPchFile exists, else "" (compile without).
+/// jit_pch_dir() when both kPchFiles exist, else "" (compile without).
 std::string active_pch_dir();
 
 /// The stamp a generated module must carry to satisfy `key`: the cache

@@ -79,21 +79,27 @@ unsigned next_line(const std::string& src) {
 /// Wrap the kernel statements in the shared module shell: entry guard,
 /// `#line` mapping onto the virtual DSL file, the provenance symbols the
 /// loader's module map reads after dlopen, and the verification stamp.
-std::string compose_module(const std::string& func, const std::string& key,
-                           const std::string& aux, const std::string& body,
-                           const std::string& stamp, SourceInfo* info) {
+std::string compose_module(const char* header, const std::string& func,
+                           const std::string& key, const std::string& aux,
+                           const std::string& body, const std::string& stamp,
+                           SourceInfo* info) {
   const std::uint64_t khash = fnv1a_hash(key);
   const std::string dsl_file = "pygb:dsl:" + func + ":" + hex64(khash);
 
   std::string src;
   src.reserve(aux.size() + body.size() + 1024);
   src += "// Generated by pygb::jit for key:\n//   " + key + "\n";
-  src += "#include \"pygb/jit/glue.hpp\"\n\n";
+  src += std::string("#include \"") + header + "\"\n\n";
   src += aux;
+  // The provenance symbols are writable data on purpose: the loader and
+  // the entry guard read them, and in the data page they share the page
+  // the dynamic linker already dirtied, so the module's read-only pages
+  // can be released after loading (load_kernel).
+  src += "\nextern \"C\" char pygb_module_func[];\n";
   src += "\nextern \"C\" void pygb_kernel(const pygb::jit::KernelArgs* "
          "args) {\n";
-  src += "  pygb::jit::kernel_entry_guard(\"" + cpp_string_escaped(func) +
-         "\", " + hex64(khash) + "ULL);\n";
+  src += "  pygb::jit::kernel_entry_guard(pygb_module_func, " +
+         hex64(khash) + "ULL);\n";
   // Map the kernel statements onto the virtual DSL file (D2X-style), so
   // DWARF line info — and therefore debuggers, sanitizers, and core dumps
   // — names the originating DSL expression rather than a temp file.
@@ -103,11 +109,11 @@ std::string compose_module(const std::string& func, const std::string& key,
   src += "#line " + std::to_string(next_line(src) + 1) +
          " \"pygb-generated.cpp\"\n";
   src += "}\n";
-  src += "\nextern \"C\" const char pygb_module_key[] = \"" +
+  src += "\nextern \"C\" char pygb_module_key[] = \"" +
          cpp_string_escaped(key) + "\";\n";
-  src += "extern \"C\" const char pygb_module_func[] = \"" +
+  src += "extern \"C\" char pygb_module_func[] = \"" +
          cpp_string_escaped(func) + "\";\n";
-  src += "extern \"C\" const unsigned pygb_module_kernel_line = " +
+  src += "extern \"C\" unsigned pygb_module_kernel_line = " +
          std::to_string(kernel_line) + ";\n";
   src += stamp_symbol_def(stamp);
 
@@ -287,6 +293,14 @@ std::string baked_backend_scope(gbtl::detail::Backend backend) {
          ");\n";
 }
 
+/// The backend a thin entry runs, baked in as its last template argument
+/// (the driver reads it instead of a BackendScope).
+std::string baked_backend_arg(gbtl::detail::Backend backend) {
+  return backend == gbtl::detail::Backend::kSimd
+             ? "gbtl::CallBackend::kSimd"
+             : "gbtl::CallBackend::kScalar";
+}
+
 std::string generate_chain_source(const FusedChainDesc& chain,
                                   gbtl::detail::Backend backend,
                                   const std::string& key,
@@ -395,11 +409,25 @@ std::string generate_chain_source(const FusedChainDesc& chain,
     }
   }
 
-  return compose_module(func::kFusedChain, key, aux.str(), body.str(),
-                        stamp, info);
+  return compose_module(kGlueHeader, func::kFusedChain, key, aux.str(),
+                        body.str(), stamp, info);
 }
 
 }  // namespace
+
+const char* module_header(const OpRequest& req) {
+  static constexpr const char* kThinFuncs[] = {
+      func::kMxM,         func::kMxV,         func::kVxM,
+      func::kEWiseAddMM,  func::kEWiseAddVV,  func::kEWiseMultMM,
+      func::kEWiseMultVV, func::kApplyM,      func::kApplyV,
+      func::kReduceMS,    func::kReduceVS,    func::kReduceMV};
+  if (!req.chain) {
+    for (const char* f : kThinFuncs) {
+      if (req.func == f) return kThinHeader;
+    }
+  }
+  return kGlueHeader;
+}
 
 std::string generate_source(const OpRequest& req, const std::string& stamp,
                             SourceInfo* info) {
@@ -414,48 +442,54 @@ std::string generate_source(const OpRequest& req, const std::string& stamp,
   const std::string acc = accum_type(req);
 
   const std::string& f = req.func;
+  const std::string be = baked_backend_arg(req.backend);
   if (f == func::kMxM) {
-    inst << "pygb::jit::run_mxm<" << ct(req) << ", " << at(req) << ", "
+    inst << "pygb::jit::mxm_entry<" << ct(req) << ", " << at(req) << ", "
          << bt(req) << ", " << semiring_type(req, aux, aux_counter) << ", "
          << bool_lit(req.a_transposed) << ", " << bool_lit(req.b_transposed)
-         << ", " << mk << ", " << acc << ">";
+         << ", " << mk << ", " << acc << ", " << be << ">";
   } else if (f == func::kMxV) {
-    inst << "pygb::jit::run_mxv<" << ct(req) << ", " << at(req) << ", "
+    inst << "pygb::jit::mxv_entry<" << ct(req) << ", " << at(req) << ", "
          << bt(req) << ", " << semiring_type(req, aux, aux_counter) << ", "
-         << bool_lit(req.a_transposed) << ", " << mk << ", " << acc << ">";
+         << bool_lit(req.a_transposed) << ", " << mk << ", " << acc << ", "
+         << be << ">";
   } else if (f == func::kVxM) {
-    inst << "pygb::jit::run_vxm<" << ct(req) << ", " << at(req) << ", "
+    inst << "pygb::jit::vxm_entry<" << ct(req) << ", " << at(req) << ", "
          << bt(req) << ", " << semiring_type(req, aux, aux_counter) << ", "
-         << bool_lit(req.b_transposed) << ", " << mk << ", " << acc << ">";
+         << bool_lit(req.b_transposed) << ", " << mk << ", " << acc << ", "
+         << be << ">";
   } else if (f == func::kEWiseAddMM || f == func::kEWiseMultMM) {
-    inst << "pygb::jit::run_ewise_mm<" << ct(req) << ", " << at(req) << ", "
-         << bt(req) << ", " << ewise_op_tpl(req, aux) << ", "
+    inst << "pygb::jit::ewise_mm_entry<" << ct(req) << ", " << at(req)
+         << ", " << bt(req) << ", " << ewise_op_tpl(req, aux) << ", "
          << bool_lit(f == func::kEWiseAddMM) << ", "
          << bool_lit(req.a_transposed) << ", " << bool_lit(req.b_transposed)
-         << ", " << mk << ", " << acc << ">";
+         << ", " << mk << ", " << acc << ", " << be << ">";
   } else if (f == func::kEWiseAddVV || f == func::kEWiseMultVV) {
-    inst << "pygb::jit::run_ewise_vv<" << ct(req) << ", " << at(req) << ", "
-         << bt(req) << ", " << ewise_op_tpl(req, aux) << ", "
+    inst << "pygb::jit::ewise_vv_entry<" << ct(req) << ", " << at(req)
+         << ", " << bt(req) << ", " << ewise_op_tpl(req, aux) << ", "
          << bool_lit(f == func::kEWiseAddVV) << ", " << mk << ", " << acc
-         << ">";
+         << ", " << be << ">";
   } else if (f == func::kApplyM) {
-    inst << "pygb::jit::run_apply_m<" << ct(req) << ", " << at(req) << ", "
+    inst << "pygb::jit::apply_m_entry<" << ct(req) << ", " << at(req) << ", "
          << unary_maker(req, aux) << ", " << bool_lit(req.a_transposed) << ", "
-         << mk << ", " << acc << ">";
+         << mk << ", " << acc << ", " << be << ">";
   } else if (f == func::kApplyV) {
-    inst << "pygb::jit::run_apply_v<" << ct(req) << ", " << at(req) << ", "
-         << unary_maker(req, aux) << ", " << mk << ", " << acc << ">";
+    inst << "pygb::jit::apply_v_entry<" << ct(req) << ", " << at(req) << ", "
+         << unary_maker(req, aux) << ", " << mk << ", " << acc << ", " << be
+         << ">";
   } else if (f == func::kReduceMS) {
-    inst << "pygb::jit::run_reduce_m_s<" << ct(req) << ", " << at(req)
+    inst << "pygb::jit::reduce_m_s_entry<" << ct(req) << ", " << at(req)
          << ", " << monoid_type(req, aux, aux_counter) << ", "
-         << bool_lit(req.a_transposed) << ", " << acc << ">";
+         << bool_lit(req.a_transposed) << ", " << acc << ", " << be << ">";
   } else if (f == func::kReduceVS) {
-    inst << "pygb::jit::run_reduce_v_s<" << ct(req) << ", " << at(req)
-         << ", " << monoid_type(req, aux, aux_counter) << ", " << acc << ">";
+    inst << "pygb::jit::reduce_v_s_entry<" << ct(req) << ", " << at(req)
+         << ", " << monoid_type(req, aux, aux_counter) << ", " << acc << ", "
+         << be << ">";
   } else if (f == func::kReduceMV) {
-    inst << "pygb::jit::run_reduce_m_v<" << ct(req) << ", " << at(req)
+    inst << "pygb::jit::reduce_m_v_entry<" << ct(req) << ", " << at(req)
          << ", " << monoid_type(req, aux, aux_counter) << ", "
-         << bool_lit(req.a_transposed) << ", " << mk << ", " << acc << ">";
+         << bool_lit(req.a_transposed) << ", " << mk << ", " << acc << ", "
+         << be << ">";
   } else if (f == func::kAssignMM) {
     inst << "pygb::jit::run_assign_mm<" << ct(req) << ", " << at(req) << ", "
          << mk << ", " << acc << ">";
@@ -493,10 +527,14 @@ std::string generate_source(const OpRequest& req, const std::string& stamp,
     throw std::invalid_argument("codegen: unknown func '" + f + "'");
   }
 
-  return compose_module(f, req.key(), aux.str(),
-                        baked_backend_scope(req.backend) + "  " + inst.str() +
-                            "(args);\n",
-                        stamp, info);
+  // Thin entries carry the backend as a template argument; glue kernels
+  // run under a baked BackendScope.
+  const char* header = module_header(req);
+  const std::string call = "  " + inst.str() + "(args);\n";
+  return compose_module(
+      header, f, req.key(), aux.str(),
+      header == kThinHeader ? call : baked_backend_scope(req.backend) + call,
+      stamp, info);
 }
 
 }  // namespace pygb::jit

@@ -1,5 +1,5 @@
 // pygb/jit/codegen.hpp — the source-generation stage of Fig. 9: turn an
-// OpRequest into a translation unit that instantiates exactly one glue
+// OpRequest into a translation unit that instantiates exactly one entry
 // template with concrete types and exports it as `extern "C" pygb_kernel`.
 #pragma once
 
@@ -24,6 +24,14 @@ struct SourceInfo {
   unsigned kernel_line = 0;    ///< physical line of the kernel statement
   std::string dsl_file;    ///< #line virtual file "pygb:dsl:<func>:<hash>"
 };
+
+/// The header a module for `req` includes: the light pygb/jit/thin.hpp
+/// (operator cores over host drivers) for the operator-carrying single-op
+/// families, pygb/jit/glue.hpp for assign/extract/transpose, whole
+/// algorithms and fused chains. Each has its own build-time PCH.
+inline constexpr const char* kThinHeader = "pygb/jit/thin.hpp";
+inline constexpr const char* kGlueHeader = "pygb/jit/glue.hpp";
+const char* module_header(const OpRequest& req);
 
 /// Generate the complete C++ source for the request's kernel module.
 /// Throws std::invalid_argument for requests no backend could satisfy

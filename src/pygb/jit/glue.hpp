@@ -1,9 +1,12 @@
-// pygb/jit/glue.hpp — the templated kernel bodies behind every compiled
-// dispatch module. This header plays the role of PyGB's
-// operation_binding.cpp (Fig. 9): generated JIT sources #include it and
-// instantiate exactly one run_* template with concrete types; the static
-// registry instantiates a curated set of the same templates at build time,
-// guaranteeing identical semantics across backends.
+// pygb/jit/glue.hpp — the templated kernel bodies behind the JIT modules
+// that still compile whole gbtl operations: assign, extract, transpose,
+// the whole-algorithm entry points and fused chains. It plays the role of
+// PyGB's operation_binding.cpp (Fig. 9): generated sources #include it and
+// instantiate one run_* template (or a chain body) with concrete types; the
+// static registry instantiates a curated set of the same templates.
+//
+// The operator-carrying families (mxm, mxv/vxm, eWise, apply, reduce) live
+// in the light pygb/jit/thin.hpp, which this header includes.
 //
 // Kernels communicate exclusively through the standard-layout KernelArgs
 // block; all compile-time variability (dtypes, operators, transposes, mask
@@ -20,75 +23,9 @@
 #include "algorithms/sssp.hpp"
 #include "algorithms/triangle_count.hpp"
 #include "gbtl/gbtl.hpp"
-#include "pygb/jit/module_key.hpp"
+#include "pygb/jit/thin.hpp"
 
 namespace pygb::jit {
-
-// ---------------------------------------------------------------------------
-// Identity providers for composed monoids/semirings.
-// ---------------------------------------------------------------------------
-
-struct IdZero {
-  template <typename T>
-  static constexpr T value() {
-    return T{0};
-  }
-};
-struct IdOne {
-  template <typename T>
-  static constexpr T value() {
-    return T{1};
-  }
-};
-struct IdTrue {
-  template <typename T>
-  static constexpr T value() {
-    return static_cast<T>(true);
-  }
-};
-struct IdFalse {
-  template <typename T>
-  static constexpr T value() {
-    return static_cast<T>(false);
-  }
-};
-struct IdMaxLimit {
-  template <typename T>
-  static constexpr T value() {
-    return std::numeric_limits<T>::max();
-  }
-};
-struct IdLowestLimit {
-  template <typename T>
-  static constexpr T value() {
-    return std::numeric_limits<T>::lowest();
-  }
-};
-
-/// Monoid composed from a gbtl binary-op template and an identity provider.
-template <typename D3, template <class, class, class> class Op, typename IdT>
-struct GenericMonoid {
-  using ScalarType = D3;
-  static constexpr D3 identity() { return IdT::template value<D3>(); }
-  constexpr D3 operator()(const D3& a, const D3& b) const {
-    return Op<D3, D3, D3>{}(a, b);
-  }
-};
-
-/// Semiring composed from add/mult op templates and an identity provider.
-template <typename D1, typename D2, typename D3,
-          template <class, class, class> class AddOp, typename IdT,
-          template <class, class, class> class MultOp>
-struct GenericSemiring {
-  using ScalarType = D3;
-  static constexpr D3 zero() { return IdT::template value<D3>(); }
-  constexpr D3 add(const D3& a, const D3& b) const {
-    return AddOp<D3, D3, D3>{}(a, b);
-  }
-  constexpr D3 mult(const D1& a, const D2& b) const {
-    return MultOp<D1, D2, D3>{}(a, b);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Args unpacking helpers.
@@ -109,36 +46,6 @@ const gbtl::Vector<T>& in_vector(const void* p) {
 template <typename T>
 gbtl::Vector<T>& out_vector(void* p) {
   return *static_cast<gbtl::Vector<T>*>(p);
-}
-
-/// Read the runtime scalar channel appropriate for T.
-template <typename T>
-T read_scalar(const KernelArgs* args) {
-  if constexpr (std::is_floating_point_v<T>) {
-    return static_cast<T>(args->scalar_f);
-  } else {
-    return static_cast<T>(args->scalar_i);
-  }
-}
-
-/// Write a value into all channels of the scalar-out slot.
-template <typename T>
-void write_scalar_out(const KernelArgs* args, T v) {
-  args->scalar_out->f = static_cast<double>(v);
-  args->scalar_out->i = static_cast<std::int64_t>(v);
-  args->scalar_out->u = static_cast<std::uint64_t>(v);
-}
-
-/// Read the scalar-out slot as a seed of type T.
-template <typename T>
-T read_scalar_seed(const KernelArgs* args) {
-  if constexpr (std::is_floating_point_v<T>) {
-    return static_cast<T>(args->scalar_out->f);
-  } else if constexpr (std::is_signed_v<T> || std::is_same_v<T, bool>) {
-    return static_cast<T>(args->scalar_out->i);
-  } else {
-    return static_cast<T>(args->scalar_out->u);
-  }
 }
 
 inline gbtl::OutputControl outp_of(const KernelArgs* args) {
@@ -193,153 +100,8 @@ AccumT make_accum() {
 
 // ---------------------------------------------------------------------------
 // Kernel bodies. Template parameter order is uniform:
-//   CT (output), AT/BT (inputs), operator type(s), transposes, mask kind,
-//   accumulator type.
+//   CT (output), AT (input), mask kind, accumulator type.
 // ---------------------------------------------------------------------------
-
-template <typename CT, typename AT, typename BT, typename SemiringT,
-          bool ATrans, bool BTrans, MaskKind MK, typename AccumT>
-void run_mxm(const KernelArgs* args) {
-  with_mask<MK>(args, [&](const auto& mask) {
-    with_trans<ATrans>(in_matrix<AT>(args->a), [&](const auto& a) {
-      with_trans<BTrans>(in_matrix<BT>(args->b), [&](const auto& b) {
-        gbtl::mxm(out_matrix<CT>(args->c), mask, make_accum<AccumT>(),
-                  SemiringT{}, a, b, outp_of(args));
-      });
-    });
-  });
-}
-
-template <typename CT, typename AT, typename BT, typename SemiringT,
-          bool ATrans, MaskKind MK, typename AccumT>
-void run_mxv(const KernelArgs* args) {
-  with_mask<MK>(args, [&](const auto& mask) {
-    with_trans<ATrans>(in_matrix<AT>(args->a), [&](const auto& a) {
-      gbtl::mxv(out_vector<CT>(args->c), mask, make_accum<AccumT>(),
-                SemiringT{}, a, in_vector<BT>(args->b), outp_of(args));
-    });
-  });
-}
-
-template <typename CT, typename AT, typename BT, typename SemiringT,
-          bool BTrans, MaskKind MK, typename AccumT>
-void run_vxm(const KernelArgs* args) {
-  with_mask<MK>(args, [&](const auto& mask) {
-    with_trans<BTrans>(in_matrix<BT>(args->b), [&](const auto& b) {
-      gbtl::vxm(out_vector<CT>(args->c), mask, make_accum<AccumT>(),
-                SemiringT{}, in_vector<AT>(args->a), b, outp_of(args));
-    });
-  });
-}
-
-template <typename CT, typename AT, typename BT,
-          template <class, class, class> class Op, bool IsAdd, bool ATrans,
-          bool BTrans, MaskKind MK, typename AccumT>
-void run_ewise_mm(const KernelArgs* args) {
-  with_mask<MK>(args, [&](const auto& mask) {
-    with_trans<ATrans>(in_matrix<AT>(args->a), [&](const auto& a) {
-      with_trans<BTrans>(in_matrix<BT>(args->b), [&](const auto& b) {
-        if constexpr (IsAdd) {
-          gbtl::eWiseAdd(out_matrix<CT>(args->c), mask,
-                         make_accum<AccumT>(), Op<AT, BT, CT>{}, a, b,
-                         outp_of(args));
-        } else {
-          gbtl::eWiseMult(out_matrix<CT>(args->c), mask,
-                          make_accum<AccumT>(), Op<AT, BT, CT>{}, a, b,
-                          outp_of(args));
-        }
-      });
-    });
-  });
-}
-
-template <typename CT, typename AT, typename BT,
-          template <class, class, class> class Op, bool IsAdd, MaskKind MK,
-          typename AccumT>
-void run_ewise_vv(const KernelArgs* args) {
-  with_mask<MK>(args, [&](const auto& mask) {
-    if constexpr (IsAdd) {
-      gbtl::eWiseAdd(out_vector<CT>(args->c), mask, make_accum<AccumT>(),
-                     Op<AT, BT, CT>{}, in_vector<AT>(args->a),
-                     in_vector<BT>(args->b), outp_of(args));
-    } else {
-      gbtl::eWiseMult(out_vector<CT>(args->c), mask, make_accum<AccumT>(),
-                      Op<AT, BT, CT>{}, in_vector<AT>(args->a),
-                      in_vector<BT>(args->b), outp_of(args));
-    }
-  });
-}
-
-// Unary-op makers for apply: a plain unary functor, or a binary op with its
-// second operand bound to the runtime constant.
-template <template <class, class> class UOp>
-struct PlainUnary {
-  template <typename AT, typename CT>
-  static auto make(const KernelArgs*) {
-    return UOp<AT, CT>{};
-  }
-};
-
-template <template <class, class, class> class BOp>
-struct BoundSecond {
-  template <typename AT, typename CT>
-  static auto make(const KernelArgs* args) {
-    const CT bound = read_scalar<CT>(args);
-    return [bound](const AT& x) {
-      return BOp<CT, CT, CT>{}(static_cast<CT>(x), bound);
-    };
-  }
-};
-
-template <typename CT, typename AT, typename OpMaker, bool ATrans,
-          MaskKind MK, typename AccumT>
-void run_apply_m(const KernelArgs* args) {
-  auto f = OpMaker::template make<AT, CT>(args);
-  with_mask<MK>(args, [&](const auto& mask) {
-    with_trans<ATrans>(in_matrix<AT>(args->a), [&](const auto& a) {
-      gbtl::apply(out_matrix<CT>(args->c), mask, make_accum<AccumT>(), f, a,
-                  outp_of(args));
-    });
-  });
-}
-
-template <typename CT, typename AT, typename OpMaker, MaskKind MK,
-          typename AccumT>
-void run_apply_v(const KernelArgs* args) {
-  auto f = OpMaker::template make<AT, CT>(args);
-  with_mask<MK>(args, [&](const auto& mask) {
-    gbtl::apply(out_vector<CT>(args->c), mask, make_accum<AccumT>(), f,
-                in_vector<AT>(args->a), outp_of(args));
-  });
-}
-
-template <typename CT, typename AT, typename MonoidT, bool ATrans,
-          typename AccumT>
-void run_reduce_m_s(const KernelArgs* args) {
-  CT val = args->has_scalar_seed ? read_scalar_seed<CT>(args) : CT{};
-  with_trans<ATrans>(in_matrix<AT>(args->a), [&](const auto& a) {
-    gbtl::reduce(val, make_accum<AccumT>(), MonoidT{}, a);
-  });
-  write_scalar_out(args, val);
-}
-
-template <typename CT, typename AT, typename MonoidT, typename AccumT>
-void run_reduce_v_s(const KernelArgs* args) {
-  CT val = args->has_scalar_seed ? read_scalar_seed<CT>(args) : CT{};
-  gbtl::reduce(val, make_accum<AccumT>(), MonoidT{}, in_vector<AT>(args->a));
-  write_scalar_out(args, val);
-}
-
-template <typename CT, typename AT, typename MonoidT, bool ATrans,
-          MaskKind MK, typename AccumT>
-void run_reduce_m_v(const KernelArgs* args) {
-  with_mask<MK>(args, [&](const auto& mask) {
-    with_trans<ATrans>(in_matrix<AT>(args->a), [&](const auto& a) {
-      gbtl::reduce(out_vector<CT>(args->c), mask, make_accum<AccumT>(),
-                   MonoidT{}, a, outp_of(args));
-    });
-  });
-}
 
 template <typename CT, typename AT, MaskKind MK, typename AccumT>
 void run_assign_mm(const KernelArgs* args) {
@@ -467,45 +229,4 @@ void run_algo_cc(const KernelArgs* args) {
   write_scalar_out(args, static_cast<std::int64_t>(rounds));
 }
 
-// ---------------------------------------------------------------------------
-// Kernel entry guard. Generated sources call this as the first statement
-// of pygb_kernel: it drops a flight-recorder note (via the injected
-// PoolApi, so the event lands in the HOST's rings) and honours the
-// "kernel_crash" fault-injection site by dereferencing null FROM MODULE
-// CODE — the faulting PC then lies inside the dlopen'd mapping, which is
-// exactly what the crash-attribution test needs to exercise the loader's
-// module map end to end. Disarmed, it costs two relaxed atomic loads.
-// ---------------------------------------------------------------------------
-inline void kernel_entry_guard(const char* func,
-                               std::uint64_t key_hash) noexcept {
-  gbtl::detail::pool_flight_note(func, 0, key_hash);
-  if (gbtl::detail::pool_fault_check("kernel_crash") != 0) {
-    volatile int* crash_here = nullptr;
-    *crash_here = 0x7c;  // deliberate SIGSEGV inside the JIT module
-  }
-}
-
 }  // namespace pygb::jit
-
-// ---------------------------------------------------------------------------
-// Pool injection export (JIT modules only).
-//
-// A generated module is compiled without GBTL_POOL_LINKED, so its copy of
-// gbtl/detail/pool.hpp routes parallel_for through an atomic PoolApi slot
-// that starts null (inline sequential fallback). The loader dlsym's this
-// export (gbtl::detail::kPoolInjectSymbol) right after dlopen and hands the
-// module the host's function table, so JIT kernels run on the same
-// persistent worker pool as every in-process kernel. The ABI version gate
-// keeps a newer host from poisoning an older cached module (and vice
-// versa) — on mismatch the module simply stays sequential.
-// ---------------------------------------------------------------------------
-#if !defined(GBTL_POOL_LINKED)
-extern "C" void pygb_module_set_pool(const gbtl::detail::PoolApi* api) {
-  // The table is append-only, so any version at least as new as the one
-  // this module was compiled against is safe to accept.
-  if (api != nullptr &&
-      api->abi_version >= gbtl::detail::kPoolAbiVersion) {
-    gbtl::detail::pool_api_slot().store(api, std::memory_order_release);
-  }
-}
-#endif

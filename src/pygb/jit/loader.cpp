@@ -3,8 +3,10 @@
 #include <dlfcn.h>
 #include <fcntl.h>
 #include <link.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -12,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "gbtl/core.hpp"
 #include "gbtl/detail/pool.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/jit/cache.hpp"
@@ -19,6 +22,21 @@
 #include "pygb/obs/obs.hpp"
 
 namespace pygb::jit {
+
+namespace {
+
+/// The host's PoolApi plus the driver table, built on the first module
+/// load (nothing touches the driver table before a module needs it).
+const gbtl::detail::PoolApi* module_pool_api() {
+  static const gbtl::detail::PoolApi api = [] {
+    gbtl::detail::PoolApi a = *gbtl::detail::host_pool_api();
+    a.drivers = &gbtl::host_driver_table();
+    return a;
+  }();
+  return &api;
+}
+
+}  // namespace
 
 namespace modmap {
 
@@ -117,6 +135,59 @@ void register_module(void* handle, void* kernel_sym,
                     khash);
 }
 
+/// Drop the resident pages of a loaded module's read-only, non-executable
+/// segments: its ELF and dynamic-symbol headers, .rodata and .eh_frame.
+/// They are clean file pages that nothing reads after loading and
+/// registration except an exception unwinding through the module, which
+/// faults them back in from the file. A module then keeps only its code
+/// and its relocated data resident; a process holds one mapping per key
+/// it ever compiled, for its whole life.
+int release_cb(struct dl_phdr_info* info, std::size_t, void* data) {
+  const auto base = *static_cast<const std::uintptr_t*>(data);
+  if (static_cast<std::uintptr_t>(info->dlpi_addr) != base) return 0;
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  auto lo = [&](const ElfW(Phdr)& ph) {
+    return (base + ph.p_vaddr) & ~(page - 1);
+  };
+  auto hi = [&](const ElfW(Phdr)& ph) {
+    return (base + ph.p_vaddr + ph.p_memsz + page - 1) & ~(page - 1);
+  };
+  // Collect first: the program headers live in the first page released.
+  std::pair<std::uintptr_t, std::uintptr_t> ranges[8];
+  int n = 0;
+  for (int i = 0; i < info->dlpi_phnum && n < 8; ++i) {
+    const auto& ph = info->dlpi_phdr[i];
+    if (ph.p_type != PT_LOAD || ph.p_flags != PF_R) continue;
+    std::uintptr_t start = lo(ph);
+    std::uintptr_t end = hi(ph);
+    // Never a page that code or relocated data also maps.
+    for (int k = 0; k < info->dlpi_phnum; ++k) {
+      const auto& other = info->dlpi_phdr[k];
+      if (other.p_type != PT_LOAD || other.p_flags == PF_R) continue;
+      if (lo(other) < end && hi(other) > start) {
+        if (lo(other) <= start) {
+          start = std::max(start, hi(other));
+        } else {
+          end = std::min(end, lo(other));
+        }
+      }
+    }
+    if (start < end) ranges[n++] = {start, end};
+  }
+  for (int i = 0; i < n; ++i) {
+    ::madvise(reinterpret_cast<void*>(ranges[i].first),
+              ranges[i].second - ranges[i].first, MADV_DONTNEED);
+  }
+  return 1;
+}
+
+void release_read_only_pages(void* kernel_sym) {
+  Dl_info dli;
+  if (dladdr(kernel_sym, &dli) == 0 || dli.dli_fbase == nullptr) return;
+  auto base = reinterpret_cast<std::uintptr_t>(dli.dli_fbase);
+  dl_iterate_phdr(release_cb, &base);
+}
+
 }  // namespace
 
 /// Verification runs BEFORE dlopen on purpose: an unverified module must
@@ -192,15 +263,14 @@ KernelFn load_kernel(const std::string& so_path, std::string* error,
     dlclose(handle);
     return nullptr;
   }
-  // Hand the module the host's worker pool so its kernels parallelize on
-  // the same persistent threads as in-process code. Missing export (a
-  // module cached by an older schema) is fine — the module then runs its
-  // parallel regions inline, which is always correct.
+  // Hand the module the host's worker pool, governor and flight-recorder
+  // hooks, and (PoolApi v5) the dtype-only drivers its thin entry calls.
   if (void* inject = dlsym(handle, gbtl::detail::kPoolInjectSymbol)) {
     using InjectFn = void (*)(const gbtl::detail::PoolApi*);
-    reinterpret_cast<InjectFn>(inject)(gbtl::detail::host_pool_api());
+    reinterpret_cast<InjectFn>(inject)(module_pool_api());
   }
   register_module(handle, sym, so_path);
+  release_read_only_pages(sym);
   return reinterpret_cast<KernelFn>(sym);
 }
 

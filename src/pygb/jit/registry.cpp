@@ -54,6 +54,43 @@ std::uint64_t key_hash(const std::string& key) {
   return h;
 }
 
+/// How a build failed, held as a value: the leader classifies its own
+/// exception once, and each coalesced waiter throws an exception of its
+/// own from it (Codon's executeSafe returns a JITResult the same way).
+/// Sharing the leader's exception object through an exception_ptr let one
+/// waiter read what() while another's rethrow cleanup freed it.
+struct BuildFailure {
+  enum class Kind : std::uint8_t { kNone, kTransient, kNoKernel, kOther };
+  Kind kind = Kind::kNone;
+  std::string message;
+
+  static BuildFailure of(const std::exception_ptr& error) {
+    if (!error) return {};
+    try {
+      std::rethrow_exception(error);
+    } catch (const TransientJitError& e) {
+      return {Kind::kTransient, e.what()};
+    } catch (const NoKernelError& e) {
+      return {Kind::kNoKernel, e.what()};
+    } catch (const std::exception& e) {
+      return {Kind::kOther, e.what()};
+    } catch (...) {
+      return {Kind::kOther, "unknown error"};
+    }
+  }
+
+  [[noreturn]] void raise() const {
+    switch (kind) {
+      case Kind::kTransient:
+        throw TransientJitError(message);
+      case Kind::kNoKernel:
+        throw NoKernelError(message);
+      default:
+        throw std::runtime_error(message);
+    }
+  }
+};
+
 /// A cold key currently being resolved. The owner thread compiles with no
 /// registry lock held; same-key requesters wait here, other keys fly by.
 struct Registry::InFlight {
@@ -61,7 +98,7 @@ struct Registry::InFlight {
   std::condition_variable cv;
   bool done = false;
   KernelFn fn = nullptr;
-  std::exception_ptr error;
+  BuildFailure failure;
 };
 
 OpRequest StaticEntry::request() const {
@@ -448,8 +485,9 @@ bool Registry::tier_enqueue(const OpRequest& req, const std::string& key) {
       inflight_.erase(key);
       {
         std::lock_guard fl(task.flight->mu);
-        task.flight->error = std::make_exception_ptr(TransientJitError(
-            "pygb: background tier build abandoned at shutdown"));
+        task.flight->failure = {BuildFailure::Kind::kTransient,
+                                "pygb: background tier build abandoned at "
+                                "shutdown"};
         task.flight->done = true;
       }
       task.flight->cv.notify_all();
@@ -484,8 +522,9 @@ void Registry::tier_thread_main() {
         }
         {
           std::lock_guard fl(task.flight->mu);
-          task.flight->error = std::make_exception_ptr(TransientJitError(
-              "pygb: background tier build abandoned at shutdown"));
+          task.flight->failure = {BuildFailure::Kind::kTransient,
+                                  "pygb: background tier build abandoned "
+                                  "at shutdown"};
           task.flight->done = true;
         }
         task.flight->cv.notify_all();
@@ -515,7 +554,7 @@ void Registry::tier_build(TierTask& task) {
   {
     std::lock_guard fl(task.flight->mu);
     task.flight->fn = fn;
-    task.flight->error = error;
+    task.flight->failure = BuildFailure::of(error);
     task.flight->done = true;
   }
   task.flight->cv.notify_all();
@@ -582,7 +621,9 @@ KernelFn Registry::resolve_jit(const OpRequest& req, const std::string& key,
           "pygb: timed out waiting for the in-flight JIT build of key '" +
           key + "' (leader exceeded PYGB_JIT_TIMEOUT_MS plus grace)");
     }
-    if (flight->error) std::rethrow_exception(flight->error);
+    if (flight->failure.kind != BuildFailure::Kind::kNone) {
+      flight->failure.raise();
+    }
     obs::counter_add(obs::Counter::kMemoryHits);
     *backend = "jit-wait";
     return flight->fn;
@@ -604,7 +645,7 @@ KernelFn Registry::resolve_jit(const OpRequest& req, const std::string& key,
   {
     std::lock_guard fl(flight->mu);
     flight->fn = fn;
-    flight->error = error;
+    flight->failure = BuildFailure::of(error);
     flight->done = true;
   }
   flight->cv.notify_all();

@@ -14,7 +14,7 @@
 #include <array>
 #include <cstddef>
 
-#include "pygb/jit/glue.hpp"
+#include "pygb/jit/thin.hpp"
 #include "pygb/jit/registry.hpp"
 
 // Table entries are written with designated initializers that name only

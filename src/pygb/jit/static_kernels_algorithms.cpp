@@ -1,4 +1,5 @@
 // Build-time kernel table: the whole-algorithm kernels.
+#include "pygb/jit/glue.hpp"
 #include "pygb/jit/static_kernels.hpp"
 
 namespace pygb::jit::static_reg {

@@ -36,7 +36,7 @@ PYGB_BOUND_SPEC(Div)
 template <typename T, typename Spec, pygb::UnaryOp (*Desc)(), MaskKind MK>
 constexpr StaticEntry apply_m_one() {
   return {.func = func::kApplyM,
-          .fn = &run_apply_m<T, T, typename Spec::maker, false, MK,
+          .fn = &apply_m_entry<T, T, typename Spec::maker, false, MK,
                              gbtl::NoAccumulate>,
           .unary_op = Desc,
           .c = dtype_of<T>(),
@@ -47,7 +47,7 @@ constexpr StaticEntry apply_m_one() {
 template <typename T, typename Spec, pygb::UnaryOp (*Desc)(), MaskKind MK>
 constexpr StaticEntry apply_v_one() {
   return {.func = func::kApplyV,
-          .fn = &run_apply_v<T, T, typename Spec::maker, MK,
+          .fn = &apply_v_entry<T, T, typename Spec::maker, MK,
                              gbtl::NoAccumulate>,
           .unary_op = Desc,
           .c = dtype_of<T>(),
@@ -93,21 +93,21 @@ constexpr std::array<StaticEntry, 5> reduce_all() {
   using A = typename Acc::template type<T>;
   return {
       reduce_one<T, Mon, Acc>(func::kReduceMS,
-                              &run_reduce_m_s<T, T, M, false, A>,
+                              &reduce_m_s_entry<T, T, M, false, A>,
                               MaskKind::kNone),
-      reduce_one<T, Mon, Acc>(func::kReduceVS, &run_reduce_v_s<T, T, M, A>,
+      reduce_one<T, Mon, Acc>(func::kReduceVS, &reduce_v_s_entry<T, T, M, A>,
                               MaskKind::kNone),
       reduce_one<T, Mon, Acc>(
           func::kReduceMV,
-          &run_reduce_m_v<T, T, M, false, MaskKind::kNone, A>,
+          &reduce_m_v_entry<T, T, M, false, MaskKind::kNone, A>,
           MaskKind::kNone),
       reduce_one<T, Mon, Acc>(
           func::kReduceMV,
-          &run_reduce_m_v<T, T, M, false, MaskKind::kVector, A>,
+          &reduce_m_v_entry<T, T, M, false, MaskKind::kVector, A>,
           MaskKind::kVector),
       reduce_one<T, Mon, Acc>(
           func::kReduceMV,
-          &run_reduce_m_v<T, T, M, false, MaskKind::kVectorComp, A>,
+          &reduce_m_v_entry<T, T, M, false, MaskKind::kVectorComp, A>,
           MaskKind::kVectorComp)};
 }
 

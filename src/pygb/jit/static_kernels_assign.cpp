@@ -1,4 +1,5 @@
 // Build-time kernel table: assign, extract, transpose.
+#include "pygb/jit/glue.hpp"
 #include "pygb/jit/static_kernels.hpp"
 
 namespace pygb::jit::static_reg {

@@ -8,7 +8,7 @@ namespace {
 template <typename T, typename Bop, bool IsAdd, typename Acc, MaskKind MK>
 constexpr StaticEntry ewise_mm_one() {
   return {.func = IsAdd ? func::kEWiseAddMM : func::kEWiseMultMM,
-          .fn = &run_ewise_mm<T, T, T, Bop::template type, IsAdd, false,
+          .fn = &ewise_mm_entry<T, T, T, Bop::template type, IsAdd, false,
                               false, MK, typename Acc::template type<T>>,
           .binary_op = Bop::descriptor,
           .accum = Acc::descriptor,
@@ -21,7 +21,7 @@ constexpr StaticEntry ewise_mm_one() {
 template <typename T, typename Bop, bool IsAdd, typename Acc, MaskKind MK>
 constexpr StaticEntry ewise_vv_one() {
   return {.func = IsAdd ? func::kEWiseAddVV : func::kEWiseMultVV,
-          .fn = &run_ewise_vv<T, T, T, Bop::template type, IsAdd, MK,
+          .fn = &ewise_vv_entry<T, T, T, Bop::template type, IsAdd, MK,
                               typename Acc::template type<T>>,
           .binary_op = Bop::descriptor,
           .accum = Acc::descriptor,

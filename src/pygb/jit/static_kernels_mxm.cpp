@@ -9,7 +9,7 @@ template <typename T, typename Sr, typename Acc, bool ATr, bool BTr,
           MaskKind MK>
 constexpr StaticEntry mxm_one() {
   return {.func = func::kMxM,
-          .fn = &run_mxm<T, T, T, typename Sr::template type<T, T, T>, ATr,
+          .fn = &mxm_entry<T, T, T, typename Sr::template type<T, T, T>, ATr,
                          BTr, MK, typename Acc::template type<T>>,
           .semiring = Sr::descriptor,
           .accum = Acc::descriptor,

@@ -9,7 +9,7 @@ template <typename CT, typename AT, typename BT, typename Sr, typename Acc,
           bool ATr, MaskKind MK>
 constexpr StaticEntry mxv_one() {
   return {.func = func::kMxV,
-          .fn = &run_mxv<CT, AT, BT, typename Sr::template type<AT, BT, CT>,
+          .fn = &mxv_entry<CT, AT, BT, typename Sr::template type<AT, BT, CT>,
                          ATr, MK, typename Acc::template type<CT>>,
           .semiring = Sr::descriptor,
           .accum = Acc::descriptor,
@@ -24,7 +24,7 @@ template <typename CT, typename AT, typename BT, typename Sr, typename Acc,
           bool BTr, MaskKind MK>
 constexpr StaticEntry vxm_one() {
   return {.func = func::kVxM,
-          .fn = &run_vxm<CT, AT, BT, typename Sr::template type<AT, BT, CT>,
+          .fn = &vxm_entry<CT, AT, BT, typename Sr::template type<AT, BT, CT>,
                          BTr, MK, typename Acc::template type<CT>>,
           .semiring = Sr::descriptor,
           .accum = Acc::descriptor,

@@ -406,22 +406,29 @@ TEST(CacheCompiler, RuntimeArgvUsesTheBuildTimePch) {
   const auto dir = fs::temp_directory_path() /
                    ("pygb_pch_test_" + std::to_string(::getpid()));
   fs::create_directories(dir);
-  OpRequest req;
-  req.func = func::kApplyV;
-  req.a = DType::kFP64;
-  req.unary_op = UnaryOp("Identity");
-  write_file(dir / "m.cpp", generate_source(req, "pch-test"));
-  RunOptions opt;
-  opt.argv = module_compile_argv(compiler_command(), compile_flags(),
-                                 source_include_dir(),
-                                 (dir / "m.cpp").string(),
-                                 (dir / "m.so").string());
-  opt.argv.insert(opt.argv.begin() + 1, "-H");  // print each header used
-  const RunOutcome ro = run_subprocess(opt);
-  EXPECT_TRUE(ro.ok()) << ro.describe() << "\n" << ro.captured;
-  // -H marks a header served from a valid PCH with '!'.
-  EXPECT_NE(ro.captured.find("! " + pch + "/" + kPchFile), std::string::npos)
-      << ro.captured.substr(0, 2000);
+  // An apply_v module includes the light header and an assign_vs module
+  // glue.hpp; each has its own PCH in the stamp directory.
+  OpRequest thin;
+  thin.func = func::kApplyV;
+  thin.a = DType::kFP64;
+  thin.unary_op = UnaryOp("Identity");
+  OpRequest glue;
+  glue.func = func::kAssignVS;
+  for (const auto& [req, gch] : {std::pair{thin, kThinPchFile},
+                                 std::pair{glue, kPchFile}}) {
+    write_file(dir / "m.cpp", generate_source(req, "pch-test"));
+    RunOptions opt;
+    opt.argv = module_compile_argv(compiler_command(), compile_flags(),
+                                   source_include_dir(),
+                                   (dir / "m.cpp").string(),
+                                   (dir / "m.so").string());
+    opt.argv.insert(opt.argv.begin() + 1, "-H");  // print each header used
+    const RunOutcome ro = run_subprocess(opt);
+    EXPECT_TRUE(ro.ok()) << ro.describe() << "\n" << ro.captured;
+    // -H marks a header served from a valid PCH with '!'.
+    EXPECT_NE(ro.captured.find("! " + pch + "/" + gch), std::string::npos)
+        << ro.captured.substr(0, 2000);
+  }
   std::error_code ec;
   fs::remove_all(dir, ec);
 }

@@ -215,12 +215,12 @@ class CompileServiceTest : public ::testing::Test {
 
   /// A REAL generated kernel module — seconds of g++ work, wide enough a
   /// window to SIGKILL the worker mid-compile deterministically.
+  /// A module that takes about a second to compile: a whole algorithm
+  /// (glue.hpp); a single eWise op is a thin module and done in ~0.1 s.
   std::string slow_source(const std::string& stem) {
     OpRequest req;
-    req.func = func::kEWiseAddVV;
+    req.func = func::kAlgoPagerank;
     req.a = DType::kFP64;
-    req.b = DType::kFP64;
-    req.binary_op = BinaryOp(BinaryOpName::kPlus);
     const fs::path src = fs::path(scratch_) / (stem + ".cpp");
     write_file(src, generate_source(req));
     return src.string();

@@ -137,7 +137,8 @@ TEST_F(JitTest, GeneratedSourceMentionsConcreteTypes) {
   req.semiring = MinPlusSemiring();
   req.accum = BinaryOp("Max");
   const std::string src = generate_source(req);
-  EXPECT_NE(src.find("run_mxm"), std::string::npos);
+  EXPECT_NE(src.find("mxm_entry"), std::string::npos);
+  EXPECT_NE(src.find("pygb/jit/thin.hpp"), std::string::npos);
   EXPECT_NE(src.find("float"), std::string::npos);
   EXPECT_NE(src.find("int8_t"), std::string::npos);
   EXPECT_NE(src.find("gbtl::Min"), std::string::npos);

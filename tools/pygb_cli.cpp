@@ -39,9 +39,10 @@
 //                                  its next checkpoint
 //
 //   cache subcommands (no graph file): --cache-info prints the module
-//   cache directory, size, environment stamp, and the glue.hpp PCH
-//   directory compiles use (or "none"); --cache-clear empties it. See
-//   docs/CACHE.md.
+//   cache directory, size, environment stamp, the PCH directory compiles
+//   use (or "none") with the size of its thin.hpp and glue.hpp PCHs, and
+//   the module ABI versions (PoolApi and driver table); --cache-clear
+//   empties it. See docs/CACHE.md.
 //
 //   --health (no graph file): end-to-end readiness probe — generate a
 //   1-element kernel, compile it (through the compile service when
@@ -73,6 +74,8 @@
 #include "algorithms/pagerank.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/triangle_count.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/pool_api.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/governor.hpp"
 #include "pygb/jit/cache.hpp"
@@ -313,6 +316,16 @@ int run_cache_command(const std::string& cmd) {
             << "stamp:       " << pygb::jit::cache_stamp() << "\n";
   const std::string pch = pygb::jit::active_pch_dir();
   std::cout << "pch dir:     " << (pch.empty() ? "none" : pch) << "\n";
+  for (const char* file : pygb::jit::kPchFiles) {
+    std::error_code ec;
+    const auto bytes = std::filesystem::file_size(pch + "/" + file, ec);
+    std::cout << "pch:         " << file << " "
+              << (pch.empty() || ec ? std::string("none")
+                                    : std::to_string(bytes) + " bytes")
+              << "\n";
+  }
+  std::cout << "module abi:  pool v" << gbtl::detail::kPoolAbiVersion
+            << ", driver table v" << gbtl::kDriverTableVersion << "\n";
   if (const auto cap = pygb::jit::cache_max_bytes(); cap != 0) {
     std::cout << "max bytes:   " << cap << " (PYGB_CACHE_MAX_BYTES)\n";
   } else {
