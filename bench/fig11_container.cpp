@@ -2,17 +2,25 @@
 // (read a matrix from disk, construct it from an in-memory container,
 // extract the data back out) for the "Python" path (per-token boxed lists,
 // the paper's dominant cost) and the native C++ path, across sizes with
-// |E| = |V|^1.5.
+// |E| = |V|^1.5. BM_Read_MatrixMarket and BM_Construct_Rmat gauge the two
+// ingest layers alone on a skewed, unsorted R-MAT graph: Matrix Market
+// parsing from memory, and the counting build behind Matrix::from_coo.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <istream>
 #include <map>
+#include <random>
+#include <sstream>
+#include <streambuf>
 #include <string>
 
 #include "generators/erdos_renyi.hpp"
+#include "generators/rmat.hpp"
 #include "gbtl/gbtl.hpp"
 #include "io/coo_text.hpp"
+#include "io/matrix_market.hpp"
 #include "pygb/pygb.hpp"
 
 namespace {
@@ -39,6 +47,34 @@ const std::string& data_file(gbtl::IndexType n) {
   }
   return it->second;
 }
+
+/// R-MAT graph of 2^scale vertices and 8 edges per vertex in generation
+/// order (unsorted, hub rows first-come), with integer weights 1..9.
+io::Coo rmat_coo(unsigned scale) {
+  gen::RmatParams p;
+  p.scale = scale;
+  p.edge_factor = 8;
+  p.seed = 1;
+  const auto el = gen::rmat(p);
+  std::mt19937_64 rng(scale);
+  std::uniform_int_distribution<int> weight(1, 9);
+  io::Coo coo;
+  coo.nrows = coo.ncols = el.num_vertices;
+  for (const auto& e : el.edges) {
+    coo.rows.push_back(e.src);
+    coo.cols.push_back(e.dst);
+    coo.vals.push_back(weight(rng));
+  }
+  return coo;
+}
+
+/// Read-only stream buffer over a string, so a read copies nothing first.
+struct MemBuf : std::streambuf {
+  explicit MemBuf(const std::string& s) {
+    char* p = const_cast<char*>(s.data());
+    setg(p, p, p + s.size());
+  }
+};
 
 // --- read from file -----------------------------------------------------------
 
@@ -74,7 +110,32 @@ void BM_Read_DirectLoad(benchmark::State& state) {
   }
 }
 
+void BM_Read_MatrixMarket(benchmark::State& state) {
+  std::ostringstream text;
+  io::write_matrix_market(text,
+                          rmat_coo(static_cast<unsigned>(state.range(0))));
+  const std::string mm = text.str();
+  for (auto _ : state) {
+    MemBuf buf(mm);
+    std::istream in(&buf);
+    auto coo = io::read_matrix_market(in, "rmat");
+    benchmark::DoNotOptimize(coo.nnz());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(mm.size()));
+}
+
 // --- construct from an in-memory container -------------------------------------
+
+void BM_Construct_Rmat(benchmark::State& state) {
+  const auto coo = rmat_coo(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    Matrix m = Matrix::from_coo(coo);
+    benchmark::DoNotOptimize(m.nvals());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(coo.nnz()));
+}
 
 void BM_Construct_PyGB(benchmark::State& state) {
   const auto n = static_cast<gbtl::IndexType>(state.range(0));
@@ -147,10 +208,13 @@ void BM_OperateAfterConstruction_Native(benchmark::State& state) {
 }  // namespace
 
 #define FIG11_SWEEP ->RangeMultiplier(2)->Range(128, 8192)->Unit(benchmark::kMillisecond)
+#define RMAT_SCALES ->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_Read_Python) FIG11_SWEEP;
 BENCHMARK(BM_Read_Cpp) FIG11_SWEEP;
 BENCHMARK(BM_Read_DirectLoad) FIG11_SWEEP;
+BENCHMARK(BM_Read_MatrixMarket) RMAT_SCALES;
 BENCHMARK(BM_Construct_PyGB) FIG11_SWEEP;
+BENCHMARK(BM_Construct_Rmat) RMAT_SCALES;
 BENCHMARK(BM_Construct_Native) FIG11_SWEEP;
 BENCHMARK(BM_Extract_PyGB) FIG11_SWEEP;
 BENCHMARK(BM_Extract_Native) FIG11_SWEEP;

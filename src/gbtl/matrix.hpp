@@ -78,31 +78,59 @@ class Matrix {
     nvals_ = 0;
   }
 
-  /// Populate from coordinate data. Duplicate (i,j) pairs are combined with
-  /// `dup` (defaults to keeping the last value, via Second semantics when
-  /// dup is not supplied GBTL uses the dup op; we default to Plus-like
-  /// "last wins" replaced by an explicit callable).
+  /// Replace the contents with coordinate data. Duplicate (i,j) pairs are
+  /// folded left to right in input order: dup(dup(v1, v2), v3). The default
+  /// dup, Second, keeps the last value. Strong guarantee: the new rows are
+  /// built aside and swapped in at the end, so a bad coordinate (or a
+  /// throwing dup or allocation) leaves the previous contents intact.
+  ///
+  /// A counting build, O(n + nrows) plus a sort of each unsorted row: count
+  /// entries per row, reserve each row exactly, append in input order, then
+  /// per row stable-sort by column (only if unsorted) and fold duplicates.
   template <typename RAIteratorI, typename RAIteratorJ, typename RAIteratorV,
             typename DupT = Second<T>>
   void build(RAIteratorI i_it, RAIteratorJ j_it, RAIteratorV v_it,
              std::size_t n, DupT dup = DupT{}) {
-    clear();
-    for (std::size_t k = 0; k < n; ++k, ++i_it, ++j_it, ++v_it) {
-      const IndexType i = static_cast<IndexType>(*i_it);
-      const IndexType j = static_cast<IndexType>(*j_it);
-      const T v = static_cast<T>(*v_it);
-      if (i >= nrows_ || j >= ncols_) {
+    std::vector<std::size_t> count(nrows_, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const IndexType i = static_cast<IndexType>(i_it[k]);
+      if (i >= nrows_ || static_cast<IndexType>(j_it[k]) >= ncols_) {
         throw IndexOutOfBoundsException("build coordinate outside matrix");
       }
-      auto& row = rows_[i];
-      auto pos = lower_bound_col(row, j);
-      if (pos != row.end() && pos->first == j) {
-        pos->second = dup(pos->second, v);
-      } else {
-        row.insert(pos, {j, v});
-        ++nvals_;
-      }
+      ++count[i];
     }
+    std::vector<Row> rows(nrows_);
+    for (IndexType i = 0; i < nrows_; ++i) rows[i].reserve(count[i]);
+    for (std::size_t k = 0; k < n; ++k) {
+      rows[static_cast<IndexType>(i_it[k])].emplace_back(
+          static_cast<IndexType>(j_it[k]), static_cast<T>(v_it[k]));
+    }
+    const auto by_col = [](const Entry& a, const Entry& b) {
+      return a.first < b.first;
+    };
+    std::size_t nvals = 0;
+    for (Row& row : rows) {
+      if (row.size() < 2) {
+        nvals += row.size();
+        continue;
+      }
+      if (!std::is_sorted(row.begin(), row.end(), by_col)) {
+        std::stable_sort(row.begin(), row.end(), by_col);
+      }
+      std::size_t w = 0;
+      for (std::size_t r = 1; r < row.size(); ++r) {
+        if (row[r].first == row[w].first) {
+          row[w].second = dup(row[w].second, row[r].second);
+        } else if (++w != r) {
+          row[w] = std::move(row[r]);
+        }
+      }
+      row.erase(row.begin() + static_cast<std::ptrdiff_t>(w + 1), row.end());
+      nvals += row.size();
+    }
+    invalidate_transpose_cache();
+    rows_.swap(rows);
+    nvals_ = nvals;
   }
 
   /// Convenience build from index/value vectors.

@@ -12,7 +12,7 @@
 namespace pygb::io {
 
 /// A matrix in coordinate (triplet) form with double-precision staging
-/// values; the final container cast happens in to_matrix<T>.
+/// values; the final container cast happens in build_from<T>.
 struct Coo {
   gbtl::IndexType nrows = 0;
   gbtl::IndexType ncols = 0;
@@ -23,15 +23,22 @@ struct Coo {
   std::size_t nnz() const noexcept { return vals.size(); }
 };
 
+/// Replace m's contents with the staged coordinates. The iterator build
+/// casts each double value to T as it goes, so no typed copy is staged.
+template <typename T>
+void build_from(gbtl::Matrix<T>& m, const Coo& coo) {
+  if (coo.rows.size() != coo.vals.size() ||
+      coo.cols.size() != coo.vals.size()) {
+    throw gbtl::InvalidValueException("build arrays must be the same length");
+  }
+  m.build(coo.rows.begin(), coo.cols.begin(), coo.vals.begin(), coo.nnz());
+}
+
 /// Build a typed GBTL matrix from staged coordinates.
 template <typename T>
 gbtl::Matrix<T> to_matrix(const Coo& coo) {
   gbtl::Matrix<T> m(coo.nrows, coo.ncols);
-  std::vector<T> cast_vals(coo.vals.size());
-  for (std::size_t k = 0; k < coo.vals.size(); ++k) {
-    cast_vals[k] = static_cast<T>(coo.vals[k]);
-  }
-  m.build(coo.rows, coo.cols, cast_vals);
+  build_from(m, coo);
   return m;
 }
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "io/errors.hpp"
+#include "io/scan.hpp"
 #include "pygb/governor.hpp"
 
 namespace pygb::io {
@@ -22,6 +23,12 @@ constexpr std::uint64_t kBytesPerEntry =
 /// Charge the governor budget in batches as the triplet arrays grow; the
 /// file carries no trustworthy size claim, so the charge is incremental.
 constexpr std::size_t kChargeBatch = 4096;
+
+/// Skip whitespace inside a line; false if the line ends first.
+bool skip_space(const char*& p, const char* end) {
+  while (p != end && scan::is_space(*p)) ++p;
+  return p != end;
+}
 
 /// Box one token the way a Python tokenizer would: try int, then float,
 /// else keep the string.
@@ -65,15 +72,22 @@ Coo read_coo_text(const std::string& path) {
   std::ifstream in(path);
   if (!in) fail(path, "cannot open file");
   Coo coo;
-  std::string line;
   bool have_header = false;
   governor::MemCharge charge;
-  while (std::getline(in, line)) {
+  // Line by line as std::getline splits them; within a line, numbers are
+  // read as operator>> reads them (io/scan.hpp), so only an empty line is
+  // skipped and tokens past the third are ignored.
+  scan::Window win(*in.rdbuf());
+  std::string_view line;
+  while (win.next_line(line)) {
     if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream hdr(line.substr(1));
+    const char* p = line.data();
+    const char* end = p + line.size();
+    if (*p == '#') {
+      ++p;
       long long r = 0, c = 0;
-      if (hdr >> r >> c) {
+      if (skip_space(p, end) && scan::parse_int(p, end, r) &&
+          skip_space(p, end) && scan::parse_int(p, end, c)) {
         if (r < 0 || c < 0) fail(path, "negative dimension in header");
         coo.nrows = static_cast<gbtl::IndexType>(r);
         coo.ncols = static_cast<gbtl::IndexType>(c);
@@ -81,10 +95,13 @@ Coo read_coo_text(const std::string& path) {
       }
       continue;
     }
-    std::istringstream ls(line);
     long long i = 0, j = 0;
     double v = 0;
-    if (!(ls >> i >> j >> v)) fail(path, "bad triplet line '" + line + "'");
+    if (!(skip_space(p, end) && scan::parse_int(p, end, i) &&
+          skip_space(p, end) && scan::parse_int(p, end, j) &&
+          skip_space(p, end) && scan::parse_stream_double(p, end, v))) {
+      fail(path, "bad triplet line '" + std::string(line) + "'");
+    }
     if (i < 0 || j < 0) fail(path, "negative index in triplet");
     if (have_header &&
         (static_cast<gbtl::IndexType>(i) >= coo.nrows ||

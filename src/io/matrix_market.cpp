@@ -4,12 +4,12 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "io/errors.hpp"
+#include "io/scan.hpp"
 #include "pygb/governor.hpp"
 
 namespace pygb::io {
@@ -39,6 +39,9 @@ gbtl::IndexType to_index(long long v, const std::string& what,
 /// (IndexType row + IndexType col + double val).
 constexpr std::uint64_t kBytesPerEntry =
     sizeof(gbtl::IndexType) * 2 + sizeof(double);
+
+/// Entries parsed between governor checkpoints.
+constexpr long long kCheckpointEvery = 4096;
 
 /// The nnz header of an untrusted file must not size a reserve() on its
 /// own: "1 1 9999999999999" is a 20-byte file claiming terabytes. Clamp
@@ -119,21 +122,24 @@ Coo read_matrix_market(std::istream& in, const std::string& what) {
   coo.cols.reserve(static_cast<std::size_t>(reserve_n));
   coo.vals.reserve(static_cast<std::size_t>(reserve_n));
 
-  std::string tok;
+  // The entries are read through a window over the stream's buffer (see
+  // io/scan.hpp), which may read past the last entry.
+  scan::Window win(*in.rdbuf());
   for (long long k = 0; k < nnz; ++k) {
-    governor::checkpoint();
+    if (k % kCheckpointEvery == 0) governor::checkpoint();
     long long i = 0, j = 0;
     double v = 1.0;
-    if (!(in >> i >> j)) fail(what, "truncated entry list");
+    if (!win.next_int(i) || !win.next_int(j)) {
+      fail(what, "truncated entry list");
+    }
     if (!pattern) {
-      // Parsed via strtod rather than operator>> so IEEE specials ("nan",
+      // A whole token read as strtod reads it, so IEEE specials ("nan",
       // "inf") and overflowing literals ("1e999") reach the finiteness
-      // check below instead of silently failing extraction.
-      if (!(in >> tok)) fail(what, "truncated entry value");
-      char* end = nullptr;
-      v = std::strtod(tok.c_str(), &end);
-      if (end == tok.c_str() || *end != '\0') {
-        fail(what, "bad entry value '" + tok + "'");
+      // check below instead of failing as a truncated entry.
+      const std::string_view tok = win.next_token();
+      if (tok.empty()) fail(what, "truncated entry value");
+      if (!scan::parse_double_token(tok, v)) {
+        fail(what, "bad entry value '" + std::string(tok) + "'");
       }
     }
     if (i < 1 || i > nrows || j < 1 || j > ncols) {

@@ -59,8 +59,7 @@ Matrix Matrix::from_coo(const io::Coo& coo, DType dtype) {
   Matrix m(coo.nrows, coo.ncols, dtype);
   visit_dtype(dtype, [&](auto tag) {
     using T = typename decltype(tag)::type;
-    std::vector<T> cast(coo.vals.begin(), coo.vals.end());
-    m.typed<T>().build(coo.rows, coo.cols, cast);
+    io::build_from(m.typed<T>(), coo);
   });
   return m;
 }

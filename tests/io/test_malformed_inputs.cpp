@@ -160,6 +160,36 @@ TEST(MalformedMM, EmptyFile) {
   EXPECT_THROW(parse_mm(""), ParseError);
 }
 
+TEST(MalformedMM, GarbageTokenLongerThanTheReadWindow) {
+  // The 64 KiB read window grows to hold the token, then rejects it.
+  EXPECT_THROW(parse_mm("%%MatrixMarket matrix coordinate real general\n"
+                        "3 3 1\n"
+                        "1 1 " + std::string(200000, '7') + "x\n"),
+               ParseError);
+  EXPECT_THROW(parse_mm("%%MatrixMarket matrix coordinate real general\n"
+                        "3 3 1\n"
+                        "1 " + std::string(100000, '0') + "x 1\n"),
+               ParseError);
+}
+
+TEST(MalformedMM, TruncatedExactlyAtTheReadWindowEdge) {
+  // Entries fill the first 64 KiB window exactly; the claimed next entry
+  // is missing, then present without its value.
+  std::string body;
+  long long n = 0;
+  while (body.size() + 6 <= 64 * 1024) {
+    body += "1 1 1\n";
+    ++n;
+  }
+  body.append(64 * 1024 - body.size(), ' ');
+  const std::string head = "%%MatrixMarket matrix coordinate real general\n"
+                           "3 3 " + std::to_string(n + 1) + "\n";
+  EXPECT_THROW(parse_mm(head + body), ParseError);
+  EXPECT_THROW(parse_mm(head + body + "2 2"), ParseError);
+  EXPECT_EQ(parse_mm(head + body + "2 2 2").nnz(),
+            static_cast<std::size_t>(n + 1));
+}
+
 // --- COO text --------------------------------------------------------------
 
 TEST(MalformedCooText, NegativeIndexRejected) {
