@@ -1,9 +1,8 @@
 // bench_fig9_jit — the execution-model costs of Fig. 9: cold compilation
 // (codegen + g++ + dlopen), disk-cache hit (dlopen only), memory-cache hit
 // (hash lookup), static-table hit, and interp dispatch — plus the paper's
-// claim that compile times amortize across runs, and the warm-service vs
-// fork/exec compile-latency split the persistent `pygb_compiled` worker
-// buys (docs/ROBUSTNESS.md).
+// claim that compile times amortize across runs, and the per-key latency
+// of one compiler fork/exec with the PCH.
 #include "bench_json.hpp"
 #include <benchmark/benchmark.h>
 
@@ -17,7 +16,6 @@
 
 #include "pygb/jit/cache.hpp"
 #include "pygb/jit/codegen.hpp"
-#include "pygb/jit/compile_service.hpp"
 #include "pygb/jit/compiler.hpp"
 #include "pygb/jit/module_key.hpp"
 #include "pygb/pygb.hpp"
@@ -118,36 +116,6 @@ void BM_StaticTableHit(benchmark::State& state) {
   reg.set_mode(saved_mode);
 }
 
-/// Save/clear/restore PYGB_COMPILED around the compile-path benchmarks so
-/// each one measures the path its name promises, whatever the caller's
-/// environment says.
-class CompiledEnvScope {
- public:
-  explicit CompiledEnvScope(const char* value) {
-    const char* old = std::getenv("PYGB_COMPILED");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value != nullptr) {
-      ::setenv("PYGB_COMPILED", value, 1);
-    } else {
-      ::unsetenv("PYGB_COMPILED");
-    }
-    CompileService::instance().reset();
-  }
-  ~CompiledEnvScope() {
-    if (had_) {
-      ::setenv("PYGB_COMPILED", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("PYGB_COMPILED");
-    }
-    CompileService::instance().reset();  // also reaps any worker
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 /// The keys the compile gauges build:
 ///   0: ewise_add_vv on fp64 (Plus);
 ///   1: jit-cold's shape — mxv, int16 ← int16·int16 over Min.Plus,
@@ -222,7 +190,6 @@ void BM_ForkExecCompile(benchmark::State& state) {
     state.SkipWithError("no C++ compiler available");
     return;
   }
-  CompiledEnvScope scope(nullptr);  // force the in-process runner
   namespace fs = std::filesystem;
   const int which = static_cast<int>(state.range(0));
   const fs::path dir = bench_cache_dir() + "_forkexec";
@@ -236,7 +203,6 @@ void BM_ForkExecCompile(benchmark::State& state) {
       break;
     }
   }
-  state.counters["serviced"] = 0;
   state.counters["text_bytes"] = static_cast<double>(text_bytes(out));
   std::error_code ec;
   const std::string pch = active_pch_dir();
@@ -246,50 +212,6 @@ void BM_ForkExecCompile(benchmark::State& state) {
                         pch + "/" + module_header(gauge_request(which)) +
                             ".gch",
                         ec));
-  fs::remove_all(dir);
-}
-
-// The same TU through a WARM pygb_compiled worker: the spawn and the
-// glue.hpp precompiled header are paid once (outside the timed loop), so
-// real_ns here vs BM_ForkExecCompile is the amortized win the service
-// delivers on every cold key after the first.
-void BM_ServiceCompile(benchmark::State& state) {
-  if (!compiler_available()) {
-    state.SkipWithError("no C++ compiler available");
-    return;
-  }
-  namespace fs = std::filesystem;
-  if (!fs::exists(compiled_worker_path())) {
-    state.SkipWithError("pygb_compiled worker not built");
-    return;
-  }
-  CompiledEnvScope scope("on");
-  auto& svc = CompileService::instance();
-  const fs::path dir = bench_cache_dir() + "_service";
-  fs::create_directories(dir);
-  const std::string src = write_kernel_source(dir);
-  const std::string out = (dir / "bench_kernel.so").string();
-  // Warm outside the loop: the first request pays worker spawn + PCH build.
-  const auto warm = svc.compile(src, out, /*timeout_ms=*/0);
-  if (!warm.serviced || !warm.result.ok) {
-    fs::remove_all(dir);
-    state.SkipWithError(
-        ("service warmup failed: " + warm.note + warm.result.log).c_str());
-    return;
-  }
-  for (auto _ : state) {
-    const auto attempt = svc.compile(src, out, /*timeout_ms=*/0);
-    if (!attempt.serviced || !attempt.result.ok) {
-      state.SkipWithError(("service compile failed: " + attempt.note +
-                           attempt.result.log)
-                              .c_str());
-      break;
-    }
-  }
-  const auto st = svc.state();
-  state.counters["serviced"] = 1;
-  state.counters["pch"] = st.pch ? 1 : 0;
-  state.counters["service_restarts"] = st.restarts;
   fs::remove_all(dir);
 }
 
@@ -314,7 +236,6 @@ BENCHMARK(BM_ForkExecCompile)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2);
-BENCHMARK(BM_ServiceCompile)->Unit(benchmark::kMillisecond)->Iterations(5);
 BENCHMARK(BM_DiskCacheHit)->Unit(benchmark::kMicrosecond)->Iterations(20);
 BENCHMARK(BM_MemoryCacheHit)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StaticTableHit)->Unit(benchmark::kMicrosecond);

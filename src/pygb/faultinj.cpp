@@ -48,13 +48,19 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
+std::string parse_site(std::string_view word) {
+  for (const char* known : site::kAll) {
+    if (word == known) return std::string(word);
+  }
+  throw std::invalid_argument("pygb: unknown fault site '" +
+                              std::string(word) + "'");
+}
+
 Action parse_action(std::string_view word) {
   if (word == "hang") return Action::kHang;
   if (word == "fail") return Action::kFail;
   if (word == "slow") return Action::kSlow;
   if (word == "corrupt") return Action::kCorrupt;
-  if (word == "crash") return Action::kCrash;
-  if (word == "stale_proto") return Action::kStaleProto;
   throw std::invalid_argument("pygb: unknown fault action '" +
                               std::string(word) + "'");
 }
@@ -112,10 +118,6 @@ const char* to_string(Action a) noexcept {
       return "slow";
     case Action::kCorrupt:
       return "corrupt";
-    case Action::kCrash:
-      return "crash";
-    case Action::kStaleProto:
-      return "stale_proto";
   }
   return "?";
 }
@@ -136,7 +138,7 @@ void configure(const std::string& spec) {
                                   "' (want site:action[:p=..][:n=..])");
     }
     Rule rule;
-    rule.site = std::string(fields[0]);
+    rule.site = parse_site(fields[0]);
     rule.action = parse_action(fields[1]);
     for (std::size_t i = 2; i < fields.size(); ++i) {
       const std::string_view f = fields[i];

@@ -17,15 +17,13 @@
 //   rule  := <site> ':' <action> [':' 'p=' <probability>] [':' 'n=' <count>]
 //   spec  := rule (',' rule)* [',' 'seed=' <uint64>]
 //
-//   sites    compile | compile_spawn | dlopen | cache_verify |
-//            cache_publish | flock | pool_submit | governor | compiled
+//   sites    compile | dlopen | cache_verify | cache_publish | flock |
+//            pool_submit | governor | kernel_crash (site::kAll; any other
+//            name is rejected)
 //   actions  hang  — the compiler child parks forever (timeout path)
 //            fail  — the site reports failure (exit 1 / nullptr / throw)
 //            slow  — the compiler child sleeps ~2s before exec'ing
 //            corrupt — published bytes are garbled (verify/quarantine path)
-//            crash — the compile-service worker _exits abruptly mid-request
-//            stale_proto — the worker handshakes with a wrong protocol
-//                    version (client must reject + restart, never parse on)
 //   p=X      firing probability in [0,1] (default 1). Draws come from a
 //            splitmix64 stream seeded by `seed` (default 0) and a global
 //            draw counter, so a given (spec, call sequence) always fires
@@ -55,17 +53,14 @@ enum class Action : std::uint8_t {
   kFail,
   kSlow,
   kCorrupt,
-  kCrash,       ///< the acting process _exits abruptly (no reply, no cleanup)
-  kStaleProto,  ///< speak a wrong protocol version (compile-service handshake)
 };
 
 const char* to_string(Action a) noexcept;
 
-/// Canonical site names (call sites pass these literals; the parser
-/// accepts any site string so new sites don't need parser changes).
+/// Canonical site names (call sites pass these literals; configure()
+/// rejects a rule whose site is not in kAll).
 namespace site {
 inline constexpr const char* kCompile = "compile";
-inline constexpr const char* kCompileSpawn = "compile_spawn";
 inline constexpr const char* kDlopen = "dlopen";
 inline constexpr const char* kCacheVerify = "cache_verify";
 inline constexpr const char* kCachePublish = "cache_publish";
@@ -81,13 +76,10 @@ inline constexpr const char* kGovernor = "governor";
 /// MODULE CODE — a real SIGSEGV inside the dlopen'd mapping, for the
 /// crash-attribution pipeline (docs/OBSERVABILITY.md).
 inline constexpr const char* kKernelCrash = "kernel_crash";
-/// The persistent compile service (pygb/jit/compile_service.hpp), enacted
-/// INSIDE the pygb_compiled worker so chaos runs exercise the client's
-/// real death/hang/corruption detection and restart machinery:
-/// `hang` parks before replying, `crash` _exits mid-request, `corrupt`
-/// sends a garbage frame, `stale_proto` handshakes a wrong version,
-/// `fail` reports a (fake) compiler failure, `slow` delays the reply ~2s.
-inline constexpr const char* kCompiled = "compiled";
+/// Every site a call site visits: the names a spec may arm.
+inline constexpr const char* kAll[] = {kCompile,      kDlopen,   kCacheVerify,
+                                       kCachePublish, kFlock,    kPoolSubmit,
+                                       kGovernor,     kKernelCrash};
 }  // namespace site
 
 /// The verdict for one site visit. Evaluates false when nothing fires.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -13,9 +12,7 @@
 #include "pygb/faultinj.hpp"
 #include "pygb/governor.hpp"
 #include "pygb/jit/cache.hpp"
-#include "pygb/jit/compile_service.hpp"
 #include "pygb/jit/subprocess.hpp"
-#include "pygb/obs/flightrec.hpp"
 #include "pygb/obs/obs.hpp"
 
 #ifndef PYGB_SOURCE_INCLUDE_DIR
@@ -126,34 +123,6 @@ CompileResult compile_module(const std::string& source_path,
   CompileResult result;
   const std::string log_path = output_path + ".log";
   const int timeout_ms = effective_compile_timeout_ms();
-
-  // Persistent compile service first (PYGB_COMPILED=on): a warm worker
-  // with the glue.hpp PCH already parsed. A SERVICE failure (worker dead,
-  // hung, breaker open) falls through to the in-process runner below —
-  // never to the user.
-  auto& svc = CompileService::instance();
-  if (svc.enabled()) {
-    auto att = svc.compile(source_path, output_path, timeout_ms);
-    if (att.serviced) {
-      obs::record_value("compile_ns",
-                        static_cast<std::uint64_t>(att.result.seconds * 1e9));
-      std::error_code ec;
-      if (att.result.ok) {
-        std::filesystem::remove(log_path, ec);
-      } else {
-        std::ofstream out(log_path);
-        out << att.result.log;
-      }
-      return att.result;
-    }
-    obs::counter_add(obs::Counter::kCompiledFallbacks);
-    flightrec::record(flightrec::EventKind::kCompiled, "degrade");
-    if (!att.note.empty()) {
-      std::fprintf(stderr, "pygb: compile service unavailable (%s); %s\n",
-                   att.note.c_str(),
-                   "falling back to in-process compiler");
-    }
-  }
 
   RunOptions opt;
   opt.argv = module_compile_argv(compiler_command(), compile_flags(),

@@ -58,8 +58,7 @@ std::string compile_flags();
 /// whitespace, then — when they and `include_dir` are this process's own
 /// and the build-time glue.hpp PCH for its cache stamp exists
 /// (active_pch_dir()) — `-Winvalid-pch -I<pch dir>`, then
-/// `-I<include_dir> <source> -o <output>`. Shared by compile_module and the
-/// compile-service worker, so both compile against the same PCH.
+/// `-I<include_dir> <source> -o <output>`.
 std::vector<std::string> module_compile_argv(const std::string& cxx,
                                              const std::string& flags,
                                              const std::string& include_dir,

@@ -143,9 +143,6 @@ Registry::Registry() {
     cache_dir_ = (fs::temp_directory_path() / "pygb_module_cache").string();
   }
   clean_cache_litter(cache_dir_);
-  if (const char* t = std::getenv("PYGB_TIER"); t != nullptr) {
-    set_tier_async(std::string(t) == "async");
-  }
 
   std::size_t entries = 0;
   for (const auto& table : static_kernel_tables()) entries += table.size();
@@ -170,15 +167,6 @@ Registry::Registry() {
     while (static_slots_[slot] != 0) slot = (slot + 1) & (slots - 1);
     static_slots_[slot] = static_cast<std::uint16_t>(i + 1);
   }
-}
-
-Registry::~Registry() {
-  {
-    std::lock_guard lock(tier_mu_);
-    tier_stop_ = true;
-  }
-  tier_cv_.notify_all();
-  if (tier_thread_.joinable()) tier_thread_.join();
 }
 
 std::string Registry::cache_dir() const {
@@ -235,17 +223,6 @@ RegistryStats Registry::stats() const {
   s.breaker_short_circuits =
       obs::counter_value(obs::Counter::kBreakerShortCircuits);
   s.lock_timeouts = obs::counter_value(obs::Counter::kLockTimeouts);
-  s.compiled_requests = obs::counter_value(obs::Counter::kCompiledRequests);
-  s.compiled_served = obs::counter_value(obs::Counter::kCompiledServed);
-  s.compiled_fallbacks =
-      obs::counter_value(obs::Counter::kCompiledFallbacks);
-  s.compiled_restarts = obs::counter_value(obs::Counter::kCompiledRestarts);
-  s.compiled_breaker_trips =
-      obs::counter_value(obs::Counter::kCompiledBreakerTrips);
-  s.tier_async_compiles =
-      obs::counter_value(obs::Counter::kTierAsyncCompiles);
-  s.tier_deferred_serves =
-      obs::counter_value(obs::Counter::kTierDeferredServes);
   return s;
 }
 
@@ -462,122 +439,6 @@ void Registry::warn_fallback_once(const char* what) {
   }
 }
 
-bool Registry::tier_enqueue(const OpRequest& req, const std::string& key) {
-  TierTask task;
-  {
-    std::lock_guard lock(mu_);
-    auto [it, inserted] = inflight_.try_emplace(key);
-    if (!inserted) return false;  // a fg leader or earlier bg task owns it
-    it->second = std::make_shared<InFlight>();
-    task.flight = it->second;
-    task.dir = cache_dir_;
-  }
-  task.req = req;
-  task.key = key;
-  tier_pending_.fetch_add(1, std::memory_order_relaxed);
-  obs::counter_add(obs::Counter::kTierAsyncCompiles);
-  {
-    std::lock_guard lock(tier_mu_);
-    if (tier_stop_) {
-      // Shutdown race: complete the flight empty rather than strand it.
-      tier_pending_.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard l2(mu_);
-      inflight_.erase(key);
-      {
-        std::lock_guard fl(task.flight->mu);
-        task.flight->failure = {BuildFailure::Kind::kTransient,
-                                "pygb: background tier build abandoned at "
-                                "shutdown"};
-        task.flight->done = true;
-      }
-      task.flight->cv.notify_all();
-      return false;
-    }
-    if (!tier_started_) {
-      tier_thread_ = std::thread(&Registry::tier_thread_main, this);
-      tier_started_ = true;
-    }
-    tier_queue_.push_back(std::move(task));
-  }
-  tier_cv_.notify_one();
-  return true;
-}
-
-void Registry::tier_thread_main() {
-  for (;;) {
-    TierTask task;
-    {
-      std::unique_lock lock(tier_mu_);
-      tier_cv_.wait(lock, [&] { return tier_stop_ || !tier_queue_.empty(); });
-      if (tier_queue_.empty()) return;  // stop with nothing queued
-      task = std::move(tier_queue_.front());
-      tier_queue_.pop_front();
-      if (tier_stop_) {
-        // Draining at shutdown: don't start a fresh g++; fail the flight
-        // fast (waiters, if any, degrade like any transient JIT failure).
-        lock.unlock();
-        {
-          std::lock_guard l2(mu_);
-          inflight_.erase(task.key);
-        }
-        {
-          std::lock_guard fl(task.flight->mu);
-          task.flight->failure = {BuildFailure::Kind::kTransient,
-                                  "pygb: background tier build abandoned "
-                                  "at shutdown"};
-          task.flight->done = true;
-        }
-        task.flight->cv.notify_all();
-        tier_pending_.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    tier_build(task);
-    tier_pending_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void Registry::tier_build(TierTask& task) {
-  KernelFn fn = nullptr;
-  std::exception_ptr error;
-  const char* how = "jit-compile";
-  try {
-    fn = build_module(task.req, task.key, task.dir, &how);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    std::lock_guard lock(mu_);
-    if (fn != nullptr) memory_cache_.emplace(task.key, fn);
-    inflight_.erase(task.key);
-  }
-  {
-    std::lock_guard fl(task.flight->mu);
-    task.flight->fn = fn;
-    task.flight->failure = BuildFailure::of(error);
-    task.flight->done = true;
-  }
-  task.flight->cv.notify_all();
-  // Same leader-only breaker discipline as the foreground path; the only
-  // difference is that nobody is waiting on this build, so failures are
-  // recorded and swallowed — the interpreter already answered everyone.
-  if (error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const TransientJitError& e) {
-      breaker_.on_failure(task.key, /*transient=*/true, e.what());
-      warn_fallback_once(e.what());
-    } catch (const std::exception& e) {
-      breaker_.on_failure(task.key, /*transient=*/false, e.what());
-      warn_fallback_once(e.what());
-    } catch (...) {
-      breaker_.on_failure(task.key, /*transient=*/false, "unknown error");
-    }
-    return;
-  }
-  breaker_.on_success(task.key);
-}
-
 KernelFn Registry::resolve_jit(const OpRequest& req, const std::string& key,
                                const char** backend) {
   std::shared_ptr<InFlight> flight;
@@ -715,33 +576,6 @@ KernelFn Registry::get(const OpRequest& req, ResolveInfo* info) {
       // turn a compile error into a confusing "interpreter refuses" error
       // — for those the JIT failure propagates instead.
       const bool interp_can_serve = !req.chain && !req.has_user_op();
-      // Background tiering (PYGB_TIER=async): don't make the first caller
-      // of a cold key wait for g++ — serve the interpreter NOW, enqueue
-      // the build, and let the compiled kernel hot-swap in for the next
-      // call via the ordinary in-flight/memory-cache machinery.
-      if (tier_async_enabled() && interp_can_serve && compiler_available()) {
-        {
-          std::lock_guard lock(mu_);
-          if (auto it = memory_cache_.find(key); it != memory_cache_.end()) {
-            obs::counter_add(obs::Counter::kMemoryHits);
-            backend = "jit-memory";
-            fn = it->second;
-            break;
-          }
-        }
-        if (breaker_.acquire(key) == CircuitBreaker::Decision::kShortCircuit) {
-          warn_fallback_once(
-              ("JIT circuit open: " + breaker_.describe(key)).c_str());
-          obs::counter_add(obs::Counter::kJitFallbacks);
-        } else {
-          tier_enqueue(req, key);  // no-op if a build is already pending
-          obs::counter_add(obs::Counter::kTierDeferredServes);
-        }
-        obs::counter_add(obs::Counter::kInterpDispatches);
-        backend = "interp-tier";
-        fn = interp_kernel();
-        break;
-      }
       if (compiler_available()) {
         const auto decision = breaker_.acquire(key);
         if (decision != CircuitBreaker::Decision::kShortCircuit) {

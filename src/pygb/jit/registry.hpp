@@ -43,15 +43,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -101,15 +98,6 @@ struct RegistryStats {
   std::size_t breaker_probes = 0;   ///< half-open probe builds granted
   std::size_t breaker_short_circuits = 0;  ///< fast-failed JIT requests
   std::size_t lock_timeouts = 0;    ///< flock deadline → private compile
-  // Persistent compile service (pygb/jit/compile_service.hpp).
-  std::size_t compiled_requests = 0;   ///< compiles offered to the service
-  std::size_t compiled_served = 0;     ///< the worker answered
-  std::size_t compiled_fallbacks = 0;  ///< degraded to in-process g++
-  std::size_t compiled_restarts = 0;   ///< worker respawns
-  std::size_t compiled_breaker_trips = 0;  ///< service breaker opened
-  // Background tiering (PYGB_TIER=async).
-  std::size_t tier_async_compiles = 0;   ///< background builds enqueued
-  std::size_t tier_deferred_serves = 0;  ///< served interp while one pended
 };
 
 /// One build-time-instantiated kernel (static backend): the request fields
@@ -180,27 +168,6 @@ class Registry {
   /// Number of JIT compiles currently running (observability / tests).
   std::size_t inflight_count() const;
 
-  // -- background tiering (PYGB_TIER=async) --
-  //
-  // With tiering on, a cold kAuto key does NOT block its first caller on
-  // g++: the request is served from the interpreter immediately while a
-  // dedicated background thread runs the build, which hot-swaps into the
-  // memory cache through the same per-key in-flight record the blocking
-  // path uses. First call: correct-but-slow; later calls: compiled.
-  bool tier_async_enabled() const noexcept {
-    return tier_async_.load(std::memory_order_relaxed);
-  }
-  void set_tier_async(bool on) noexcept {
-    tier_async_.store(on, std::memory_order_relaxed);
-  }
-  /// Background builds queued or running right now. pygb_serve's admission
-  /// controller holds AIMD window growth while this is nonzero (a box
-  /// running g++ in the background has less headroom than its latency
-  /// signal suggests).
-  std::size_t tier_pending_count() const noexcept {
-    return tier_pending_.load(std::memory_order_relaxed);
-  }
-
   std::size_t static_kernel_count() const;
   bool compiler_available() const;
 
@@ -216,7 +183,6 @@ class Registry {
   struct InFlight;
 
   Registry();
-  ~Registry();
 
   /// The static kernel for `key`, whatever its `|be=` backend suffix (a
   /// static kernel serves every backend: gbtl ops consult the thread's
@@ -233,23 +199,6 @@ class Registry {
                               const std::string& stamp);
   /// Auto-mode degradation bookkeeping: warn once per process.
   void warn_fallback_once(const char* what);
-
-  // Background tiering internals.
-  struct TierTask {
-    OpRequest req;
-    std::string key;
-    std::string dir;
-    std::shared_ptr<InFlight> flight;
-  };
-  /// Claim the key's in-flight record and queue a background build.
-  /// Returns false when the key is already being built (fg or bg).
-  bool tier_enqueue(const OpRequest& req, const std::string& key);
-  void tier_thread_main();
-  /// Leader bookkeeping for one background build (shared with the
-  /// foreground owner path): fill the flight, publish to the memory
-  /// cache, report to the breaker — but swallow errors (nobody is
-  /// waiting; the interpreter already served them).
-  void tier_build(TierTask& task);
 
   /// Guards memory_cache_, inflight_, and cache_dir_ — never held across
   /// a compile.
@@ -275,16 +224,6 @@ class Registry {
   /// immediately, transient ones open it after a threshold and heal
   /// through a half-open probe. Reset with the caches.
   CircuitBreaker breaker_;
-
-  // Background tiering: lazy-started worker thread + queue.
-  std::atomic<bool> tier_async_{false};
-  std::atomic<std::size_t> tier_pending_{0};
-  mutable std::mutex tier_mu_;
-  std::condition_variable tier_cv_;
-  std::deque<TierTask> tier_queue_;
-  bool tier_stop_ = false;
-  bool tier_started_ = false;
-  std::thread tier_thread_;
 };
 
 /// Defined in interp_kernels.cpp: the generic interpreting kernel.

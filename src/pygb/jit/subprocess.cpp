@@ -9,7 +9,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -133,14 +132,6 @@ bool transient_compiler_text(const std::string& text) {
   }
   rl.rlim_cur = rl.rlim_max = 0;  // a crashing compiler must not dump core
   ::setrlimit(RLIMIT_CORE, &rl);
-
-  if (options.kill_on_parent_death) {
-    // Die with the spawning thread (the compile-service worker is single-
-    // threaded, so thread == process there). If the parent already died in
-    // the fork window, the prctl cannot fire retroactively — check.
-    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-    if (::getppid() == 1) ::_exit(127);
-  }
 
   while (::dup2(err_w, STDERR_FILENO) < 0 && errno == EINTR) {
   }
@@ -504,102 +495,6 @@ std::uint64_t jit_mem_limit_mb() {
 int jit_max_retries() {
   const int v = env_int("PYGB_JIT_RETRIES", 2);
   return v < 0 ? 0 : v;
-}
-
-SpawnOutcome spawn_supervised(const std::vector<std::string>& argv,
-                              int stdio_fd) {
-  SpawnOutcome out;
-  if (argv.empty()) {
-    out.spawn_errno = EINVAL;
-    return out;
-  }
-  int status_pipe[2] = {-1, -1};
-  if (::pipe2(status_pipe, O_CLOEXEC) != 0) {
-    out.spawn_errno = errno;
-    out.transient = transient_errno(errno);
-    return out;
-  }
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    out.spawn_errno = errno;
-    out.transient = transient_errno(errno);
-    ::close(status_pipe[0]);
-    ::close(status_pipe[1]);
-    return out;
-  }
-  if (pid == 0) {
-    // Child: the same sandbox posture as child_exec, minus the rlimits a
-    // long-lived worker manages per-request itself (its compile children
-    // get RLIMIT_CPU/AS through their own run_subprocess calls).
-    ::close(status_pipe[0]);
-    ::setpgid(0, 0);
-    struct rlimit rl;
-    rl.rlim_cur = rl.rlim_max = 0;
-    ::setrlimit(RLIMIT_CORE, &rl);
-    ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the supervisor
-    if (::getppid() == 1) ::_exit(127);
-    if (stdio_fd >= 0) {
-      while (::dup2(stdio_fd, STDIN_FILENO) < 0 && errno == EINTR) {
-      }
-      while (::dup2(stdio_fd, STDOUT_FILENO) < 0 && errno == EINTR) {
-      }
-      if (stdio_fd > STDOUT_FILENO) ::close(stdio_fd);
-    }
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const auto& arg : argv) {
-      cargv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    cargv.push_back(nullptr);
-    ::execvp(cargv[0], cargv.data());
-    const int err = errno;
-    (void)!::write(status_pipe[1], &err, sizeof err);
-    ::_exit(127);
-  }
-
-  // Parent. Same setpgid race-closing as run_once.
-  ::setpgid(pid, pid);
-  ::close(status_pipe[1]);
-
-  // The CLOEXEC pipe answers "did exec happen?": EOF = yes, an errno = no.
-  int exec_errno = 0;
-  ssize_t n;
-  do {
-    n = ::read(status_pipe[0], &exec_errno, sizeof exec_errno);
-  } while (n < 0 && errno == EINTR);
-  ::close(status_pipe[0]);
-  if (n == static_cast<ssize_t>(sizeof exec_errno) && exec_errno != 0) {
-    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
-    }
-    out.spawn_errno = exec_errno;
-    out.transient = transient_errno(exec_errno);
-    return out;
-  }
-  out.pid = pid;
-  return out;
-}
-
-bool terminate_supervised(pid_t pid, int grace_ms) {
-  if (pid <= 0) return true;
-  int status = 0;
-  // Already dead? Reap and report so callers can tell "it died on its own"
-  // from "we had to kill it".
-  pid_t w = ::waitpid(pid, &status, WNOHANG);
-  if (w == pid || (w < 0 && errno == ECHILD)) return true;
-
-  if (::killpg(pid, SIGTERM) != 0) ::kill(pid, SIGTERM);
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(std::max(0, grace_ms));
-  while (Clock::now() < deadline) {
-    w = ::waitpid(pid, &status, WNOHANG);
-    if (w == pid || (w < 0 && errno == ECHILD)) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  if (::killpg(pid, SIGKILL) != 0) ::kill(pid, SIGKILL);
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  return false;
 }
 
 std::vector<std::string> split_command(const std::string& command) {

@@ -78,12 +78,6 @@ struct RunOptions {
   /// faultinj site consulted once per launch and enacted in the child
   /// ("compile"); nullptr skips the hook entirely.
   const char* fault_site = nullptr;
-  /// Deliver SIGKILL to the child when the spawning THREAD dies
-  /// (PR_SET_PDEATHSIG). The persistent compile-service worker sets this on
-  /// its g++ children: if the worker itself is SIGKILLed mid-compile, the
-  /// orphaned compiler must not keep running and publish a half-supervised
-  /// .tmp into the shared cache.
-  bool kill_on_parent_death = false;
 };
 
 /// Run the child to completion (or deadline) and classify the outcome.
@@ -107,38 +101,5 @@ int jit_max_retries();
 /// PYGB_CXX historically accepted a shell-ish command prefix; argv-based
 /// execution keeps that working without ever consulting a shell.
 std::vector<std::string> split_command(const std::string& command);
-
-// ---------------------------------------------------------------------------
-// Long-lived supervised children (the persistent compile service)
-// ---------------------------------------------------------------------------
-//
-// run_subprocess() owns a child's WHOLE lifetime; a supervisor that keeps a
-// worker alive across many requests needs the same sandbox discipline split
-// into spawn / kill halves. These helpers reuse the exact child setup above
-// (own process group, core dumps off, CLOEXEC exec-errno status pipe,
-// argv exec, SIGKILL-on-parent-death) without the deadline loop.
-
-struct SpawnOutcome {
-  pid_t pid = -1;       ///< running child, its own process group leader
-  int spawn_errno = 0;  ///< fork or exec errno when pid < 0
-  bool transient = false;  ///< spawn failure worth retrying (EAGAIN/ENOMEM…)
-  bool ok() const noexcept { return pid > 0; }
-};
-
-/// Fork/exec a long-lived child with the sandbox discipline of
-/// run_subprocess: its own process group (so the whole tree can be killed),
-/// RLIMIT_CORE=0, PR_SET_PDEATHSIG(SIGKILL), and a CLOEXEC status pipe that
-/// reports an exec errno back (so "worker binary missing" is diagnosed at
-/// spawn time, not as an immediate protocol EOF). `stdio_fd`, when >= 0,
-/// becomes the child's stdin AND stdout (the compile-service socketpair);
-/// stderr passes through to the parent's.
-SpawnOutcome spawn_supervised(const std::vector<std::string>& argv,
-                              int stdio_fd);
-
-/// End a supervised child: SIGTERM to its process group, `grace_ms` to
-/// comply, then SIGKILL; always reaps (never leaves a zombie). Safe to call
-/// on an already-dead pid (the reap is unconditional). Returns true when
-/// the child had already exited before any signal was sent.
-bool terminate_supervised(pid_t pid, int grace_ms);
 
 }  // namespace pygb::jit

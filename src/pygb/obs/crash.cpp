@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "pygb/governor.hpp"
-#include "pygb/jit/compile_service.hpp"
 #include "pygb/jit/loader.hpp"
 #include "pygb/obs/flightrec.hpp"
 #include "pygb/obs/obs.hpp"
@@ -260,32 +259,6 @@ void write_report(int fd, int sig, const void* addr) noexcept {
     wr(fd, "\n");
   }
   if (nmod == 0) wr(fd, "  (none)\n");
-
-  // Compile-service supervision state (relaxed atomic mirror; AS-safe).
-  // "Did the service die with us, or were we already degraded?" is the
-  // first question a pygb_serve postmortem asks.
-  {
-    const jit::compiled_state::Snapshot cs = jit::compiled_state::snapshot();
-    wr(fd, "compile_service:\n  enabled: ");
-    wr(fd, cs.enabled != 0 ? "yes" : "no");
-    wr(fd, "\n  worker_pid: ");
-    if (cs.worker_pid > 0) {
-      wr_u64(fd, static_cast<std::uint64_t>(cs.worker_pid));
-    } else {
-      wr(fd, "(none)");
-    }
-    wr(fd, "\n  breaker_open: ");
-    wr(fd, cs.breaker_open != 0 ? "yes" : "no");
-    wr(fd, "\n  restarts: ");
-    wr_u64(fd, cs.restarts);
-    wr(fd, "\n  requests: ");
-    wr_u64(fd, cs.requests);
-    wr(fd, "\n  served: ");
-    wr_u64(fd, cs.served);
-    wr(fd, "\n  fallbacks: ");
-    wr_u64(fd, cs.fallbacks);
-    wr(fd, "\n");
-  }
 
   // Counters cover governor / breaker / cache state (relaxed atomic loads;
   // leaf-module mirrors may lag — the flight recorder tail below has the

@@ -179,8 +179,6 @@ const char* kind_name(EventKind k) noexcept {
       return "fusion_plan";
     case EventKind::kServe:
       return "serve";
-    case EventKind::kCompiled:
-      return "compiled";
   }
   return "?";
 }
@@ -193,9 +191,6 @@ std::uint32_t backend_code(const char* backend) noexcept {
   if (std::strcmp(backend, "jit-compile") == 0) return kBackendJitCompile;
   if (std::strcmp(backend, "jit-wait") == 0) return kBackendJitWait;
   if (std::strcmp(backend, "interp") == 0) return kBackendInterp;
-  // Tier-deferred serves run the same interpreter kernel; the distinct
-  // spelling exists for ResolveInfo, not for the postmortem encoding.
-  if (std::strcmp(backend, "interp-tier") == 0) return kBackendInterp;
   return kBackendUnknown;
 }
 

@@ -67,10 +67,6 @@ enum class EventKind : std::uint16_t {
   kServe = 15,      ///< pygb_serve lifecycle (detail = "admit"/"reject"/
                     ///< "done"/"error"/"cancel"/"disconnect"/"drain";
                     ///< v0 = request id, see docs/SERVING.md)
-  kCompiled = 16,   ///< compile-service lifecycle (detail = "spawn"/
-                    ///< "restart"/"hang"/"died"/"corrupt"/"breaker"/
-                    ///< "degrade"/"stop"; v0 = worker pid or restart count,
-                    ///< see docs/ROBUSTNESS.md)
 };
 
 const char* kind_name(EventKind k) noexcept;

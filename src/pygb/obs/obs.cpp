@@ -217,20 +217,6 @@ const char* counter_name(Counter c) noexcept {
       return "serve_disconnects";
     case Counter::kServeDrained:
       return "serve_drained";
-    case Counter::kCompiledRequests:
-      return "compiled_requests";
-    case Counter::kCompiledServed:
-      return "compiled_served";
-    case Counter::kCompiledFallbacks:
-      return "compiled_fallbacks";
-    case Counter::kCompiledRestarts:
-      return "compiled_restarts";
-    case Counter::kCompiledBreakerTrips:
-      return "compiled_breaker_trips";
-    case Counter::kTierAsyncCompiles:
-      return "tier_async_compiles";
-    case Counter::kTierDeferredServes:
-      return "tier_deferred_serves";
     case Counter::kCount_:
       break;
   }

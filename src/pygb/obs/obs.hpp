@@ -127,19 +127,6 @@ enum class Counter : unsigned {
   kServeCancelled,        ///< requests cancelled (disconnect or drain cap)
   kServeDisconnects,      ///< client connections dropped mid-request
   kServeDrained,          ///< in-flight requests completed during drain
-  // Persistent compile service (pygb/jit/compile_service.hpp,
-  // docs/ROBUSTNESS.md): the supervisor's accounting ledger. Every request
-  // that reaches an enabled service lands in served-or-fallback, and every
-  // worker death/hang/corruption lands in restarts (or a breaker trip).
-  kCompiledRequests,      ///< compile requests offered to the service
-  kCompiledServed,        ///< requests the worker answered (ok OR diagnosed)
-  kCompiledFallbacks,     ///< service failures degraded to in-process g++
-  kCompiledRestarts,      ///< worker respawns after death/hang/corruption
-  kCompiledBreakerTrips,  ///< service breaker opened (restart budget spent)
-  // Background tiering (registry kAuto + PYGB_TIER=async).
-  kTierAsyncCompiles,     ///< background builds enqueued for cold kAuto keys
-  kTierDeferredServes,    ///< requests served from a lower tier while a
-                          ///< background build was pending
   kCount_,
 };
 inline constexpr unsigned kCounterCount =

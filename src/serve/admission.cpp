@@ -7,7 +7,6 @@
 #include <cstdlib>
 
 #include "pygb/governor.hpp"
-#include "pygb/jit/registry.hpp"
 
 namespace pygb::serve {
 
@@ -89,14 +88,7 @@ void AdmissionController::release_slot(bool transient_failure) noexcept {
     if (transient_failure) {
       window_ = std::max<std::uint64_t>(1, window_ / 2);
     } else if (window_ < max_window_) {
-      // Additive growth — but held flat while background tier builds are
-      // pending (PYGB_TIER=async): each pending build is a g++ the latency
-      // signal hasn't priced in yet, and growing the window on top of it
-      // is how a warm-up storm turns into an overload. With tiering off
-      // the count is always zero and AIMD behaves exactly as before.
-      if (jit::Registry::instance().tier_pending_count() == 0) {
-        ++window_;
-      }
+      ++window_;
     }
   }
   cv_.notify_all();

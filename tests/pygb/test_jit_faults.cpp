@@ -247,16 +247,20 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(faultinj::configure("compile:explode"), std::invalid_argument);
   EXPECT_THROW(faultinj::configure("compile:fail:p=2"), std::invalid_argument);
   EXPECT_THROW(faultinj::configure("compile:fail:q=1"), std::invalid_argument);
+  EXPECT_THROW(faultinj::configure("compiled:fail"), std::invalid_argument);
+  EXPECT_THROW(faultinj::configure("nosuch:hang"), std::invalid_argument);
+  EXPECT_THROW(faultinj::configure("compile:crash"), std::invalid_argument);
   faultinj::configure("");
 }
 
 TEST(FaultSpec, DrawsAreDeterministicForASeed) {
   std::vector<bool> first;
-  faultinj::configure("x:fail:p=0.5,seed=7");
-  for (int i = 0; i < 64; ++i) first.push_back(bool(faultinj::check("x")));
-  faultinj::configure("x:fail:p=0.5,seed=7");
+  faultinj::configure("flock:fail:p=0.5,seed=7");
+  for (int i = 0; i < 64; ++i) first.push_back(bool(faultinj::check("flock")));
+  faultinj::configure("flock:fail:p=0.5,seed=7");
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(bool(faultinj::check("x")), first[static_cast<std::size_t>(i)])
+    EXPECT_EQ(bool(faultinj::check("flock")),
+              first[static_cast<std::size_t>(i)])
         << "draw " << i << " diverged";
   }
   // p=0.5 over 64 draws fires sometimes and spares sometimes.
@@ -266,10 +270,10 @@ TEST(FaultSpec, DrawsAreDeterministicForASeed) {
 }
 
 TEST(FaultSpec, BudgetLimitsFires) {
-  faultinj::configure("y:fail:n=2");
+  faultinj::configure("flock:fail:n=2");
   int fired = 0;
   for (int i = 0; i < 5; ++i) {
-    if (faultinj::check("y")) ++fired;
+    if (faultinj::check("flock")) ++fired;
   }
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(faultinj::fired_count(), 2u);

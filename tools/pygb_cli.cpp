@@ -45,11 +45,10 @@
 //   empties it. See docs/CACHE.md.
 //
 //   --health (no graph file): end-to-end readiness probe — generate a
-//   1-element kernel, compile it (through the compile service when
-//   PYGB_COMPILED=on), dlopen it, and run it. Emits a pygb.health JSON
-//   document on stdout and exits nonzero if any stage fails, so an
-//   orchestrator's readiness check exercises the exact pipeline user
-//   requests will take. See docs/ROBUSTNESS.md.
+//   1-element kernel, compile it, dlopen it, and run it. Emits a
+//   pygb.health JSON document on stdout and exits nonzero if any stage
+//   fails, so an orchestrator's readiness check exercises the exact
+//   pipeline user requests will take. See docs/ROBUSTNESS.md.
 //
 // PYGB_TRACE=<file> / PYGB_METRICS=1 activate the same observability
 // surfaces from the environment — see docs/OBSERVABILITY.md.
@@ -80,7 +79,6 @@
 #include "pygb/governor.hpp"
 #include "pygb/jit/cache.hpp"
 #include "pygb/jit/codegen.hpp"
-#include "pygb/jit/compile_service.hpp"
 #include "pygb/jit/compiler.hpp"
 #include "pygb/jit/loader.hpp"
 #include "pygb/jit/module_key.hpp"
@@ -335,11 +333,11 @@ int run_cache_command(const std::string& cmd) {
 }
 
 // --health: prove the whole JIT pipeline works RIGHT NOW — codegen,
-// compile (via the persistent compile service when enabled), dlopen, and a
-// real kernel invocation — rather than inferring readiness from "the
-// process is up". Each stage is timed and reported individually so a
-// failing probe names the broken layer. Output is a schema-versioned JSON
-// document; exit status 0 only when every stage passed.
+// compile, dlopen, and a real kernel invocation — rather than inferring
+// readiness from "the process is up". Each stage is timed and reported
+// individually so a failing probe names the broken layer. Output is a
+// schema-versioned JSON document; exit status 0 only when every stage
+// passed.
 int run_health() {
   namespace fs = std::filesystem;
   using Clock = std::chrono::steady_clock;
@@ -387,8 +385,6 @@ int run_health() {
   const std::string src_path = (dir / "health_probe.cpp").string();
   const std::string so_path = (dir / "health_probe.so").string();
 
-  const auto svc_before = jit::compiled_state::snapshot();
-
   bool ok = run_stage("codegen", [&](std::string* err) {
     std::string source;
     source = jit::generate_source(req, stamp);
@@ -433,23 +429,14 @@ int run_health() {
     return true;
   });
 
-  const auto svc_after = jit::compiled_state::snapshot();
   fs::remove_all(dir, ec);
 
-  std::string out = "{\"schema\":\"pygb.health\",\"schema_version\":1,";
+  std::string out = "{\"schema\":\"pygb.health\",\"schema_version\":2,";
   out += "\"ok\":";
   out += ok ? "true" : "false";
   out += ",\"compiler\":";
   obs::detail::append_json_string(out, jit::compiler_command());
-  out += ",\"service\":{\"enabled\":";
-  out += svc_after.enabled ? "true" : "false";
-  out += ",\"used\":";
-  out += svc_after.served > svc_before.served ? "true" : "false";
-  out += ",\"worker_pid\":" + std::to_string(svc_after.worker_pid);
-  out += ",\"breaker_open\":";
-  out += svc_after.breaker_open ? "true" : "false";
-  out += ",\"restarts\":" + std::to_string(svc_after.restarts);
-  out += "},\"stages\":[";
+  out += ",\"stages\":[";
   bool first = true;
   for (const auto& s : stages) {
     if (!first) out += ",";
