@@ -48,8 +48,8 @@ inline const pygb::Matrix& paper_matrix(gbtl::IndexType n, bool weighted) {
 
 /// Build (and memoize per process) a skew-heavy R-MAT graph for the
 /// worker-pool thread sweeps: 2^scale vertices, 16 * 2^scale directed
-/// edges with a power-law degree distribution (the workload where the
-/// dynamic schedule earns its keep).
+/// edges with a power-law degree distribution (skewed rows: the pool's
+/// equal row blocks carry unequal work).
 inline const pygb::Matrix& rmat_matrix(unsigned scale) {
   static std::map<unsigned, pygb::Matrix> cache;
   auto it = cache.find(scale);

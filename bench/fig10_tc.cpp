@@ -71,7 +71,8 @@ const Matrix& rmat_lower_of(unsigned scale) {
 
 /// Worker-pool thread sweep on the masked-dot triangle-count kernel:
 /// range(0) = scale, range(1) = GBTL_NUM_THREADS. The power-law degree
-/// distribution makes this the showcase for GBTL_SCHEDULE=dynamic.
+/// distribution makes the pool's equal row blocks carry unequal work, so
+/// this sweep shows how far static partitioning falls from linear.
 void BM_TC_ThreadSweep(benchmark::State& state) {
   const auto scale = static_cast<unsigned>(state.range(0));
   const auto threads = static_cast<unsigned>(state.range(1));

@@ -1,18 +1,20 @@
-// gbtl/core.hpp — the operator cores of every operator-carrying op (mxm,
-// mxv/vxm, eWiseAdd/eWiseMult, apply, reduce) and the call blocks that
-// carry them to the dtype-only drivers (gbtl/detail/drivers.hpp).
+// gbtl/core.hpp — the cores of every gbtl operation (mxm, mxv/vxm,
+// eWiseAdd/eWiseMult, apply, reduce, assign, extract, transpose,
+// kronecker) and the call blocks that carry them to the dtype-only
+// drivers (gbtl/detail/drivers.hpp).
 //
-// Each of those ops runs driver → core → driver:
+// Each op runs driver → core → driver:
 //
 //   * the DRIVER owns everything that depends only on dtypes: shape checks
 //     and their exceptions, staging buffers and their governor charge, the
 //     push/pull choice and the transpose cache, pool partitioning, and the
 //     mask/replace commit into the output container;
 //   * the CORE is the loops that call ⊕, ⊗, the unary op, the monoid or
-//     the accumulator, over row views of the LIL matrix storage and bitmap
-//     views of the vector storage. The driver calls a core once per row
-//     block, so the operators stay inlined inside the core's loops and no
-//     call crosses the boundary per element.
+//     the accumulator — or, for assign/extract/transpose, that move and
+//     cast values between index positions — over row views of the LIL
+//     matrix storage and bitmap views of the vector storage. The driver
+//     calls a core once per row block, so the operators stay inlined
+//     inside the core's loops and no call crosses the boundary per element.
 //
 // The drivers are instantiated once per dtype in libpygb and reach JIT
 // modules through the DriverTable (PoolApi v5); a module instantiates only
@@ -779,6 +781,176 @@ constexpr ReduceCore reduce_v_s_core() {
           &reduce_finish<ValueT, Monoid, AccumT>};
 }
 
+// ---------------------------------------------------------------------------
+// assign / extract / transpose: cast/index cores, one per (CT, AT). They
+// carry no operator (the accumulator is the driver's accum core), so they
+// only move source values to their output positions and cast them.
+// ---------------------------------------------------------------------------
+
+/// An index list I, or the identity over [0, dim) for AllIndices (null).
+struct IndexMap {
+  const IndexArray* idx = nullptr;
+  IndexType dim = 0;
+
+  IndexType size() const { return idx != nullptr ? idx->size() : dim; }
+  IndexType operator[](IndexType k) const {
+    return idx != nullptr ? (*idx)[k] : k;
+  }
+};
+
+struct IndexState {
+  MatView a;      ///< matrix source
+  VecView u;      ///< vector source
+  IndexMap rows;  ///< I: the output rows (assign) or source rows (extract)
+  IndexMap cols;  ///< J, likewise
+  /// extract with an explicit J: source column j feeds output columns
+  /// col_out[col_start[j] .. col_start[j + 1]).
+  const IndexType* col_start = nullptr;
+  const IndexType* col_out = nullptr;
+  unsigned char* present = nullptr;  ///< vector staging
+  void* vals = nullptr;              ///< Slot<CT>[n]
+  void* out_rows = nullptr;          ///< matrix staging, Row<CT>[...]
+};
+
+using IndexFn = void (*)(const IndexState&, IndexType begin, IndexType end);
+
+/// extract, vector: t(k) = u(I[k]) for k in [begin, end).
+template <typename CT, typename AT>
+void gather_v(const IndexState& s, IndexType begin, IndexType end) {
+  const std::vector<AT>& uv = s.u.values<AT>();
+  Slot<CT>* vals = static_cast<Slot<CT>*>(s.vals);
+  for (IndexType k = begin; k < end; ++k) {
+    const IndexType i = s.rows[k];
+    if (s.u.has(i)) {
+      s.present[k] = 1;
+      vals[k] = static_cast<CT>(uv[i]);
+    }
+  }
+}
+
+/// assign, vector: t(I[k]) = u(k), or no value where u has none. Run over
+/// the whole of u at once: a repeated index takes its last occurrence.
+template <typename CT, typename AT>
+void scatter_v(const IndexState& s, IndexType begin, IndexType end) {
+  const std::vector<AT>& uv = s.u.values<AT>();
+  Slot<CT>* vals = static_cast<Slot<CT>*>(s.vals);
+  for (IndexType k = begin; k < end; ++k) {
+    const IndexType i = s.rows[k];
+    s.present[i] = s.u.has(k);
+    if (s.u.has(k)) vals[i] = static_cast<CT>(uv[k]);
+  }
+}
+
+struct ColumnLess {
+  template <typename E>
+  bool operator()(const E& x, const E& y) const {
+    return x.first < y.first;
+  }
+};
+
+/// extract, matrix: output row k is source row I[k] restricted to J and
+/// renumbered (a cast copy of A's rows when I and J are both all).
+template <typename CT, typename AT>
+void gather_rows(const IndexState& s, IndexType begin, IndexType end) {
+  Row<CT>* out_rows = static_cast<Row<CT>*>(s.out_rows);
+  for (IndexType k = begin; k < end; ++k) {
+    detail::pool_checkpoint();
+    const Row<AT>& src = s.a.row<AT>(s.rows[k]);
+    if (src.empty()) continue;
+    Row<CT>& out = out_rows[k];
+    if (s.col_start == nullptr) {
+      out.reserve(src.size());
+      for (const auto& [j, v] : src) out.emplace_back(j, static_cast<CT>(v));
+      continue;
+    }
+    for (const auto& [j, v] : src) {
+      for (IndexType p = s.col_start[j]; p < s.col_start[j + 1]; ++p) {
+        out.emplace_back(s.col_out[p], static_cast<CT>(v));
+      }
+    }
+    std::sort(out.begin(), out.end(), ColumnLess{});
+  }
+}
+
+/// assign, matrix: row k of A lands in output row I[k] at columns J. Run
+/// over the whole of A at once: a repeated row or column index takes its
+/// last occurrence.
+template <typename CT, typename AT>
+void scatter_rows(const IndexState& s, IndexType begin, IndexType end) {
+  Row<CT>* out_rows = static_cast<Row<CT>*>(s.out_rows);
+  for (IndexType k = begin; k < end; ++k) {
+    detail::pool_checkpoint();
+    Row<CT>& out = out_rows[s.rows[k]];
+    out.clear();
+    for (const auto& [j, v] : s.a.row<AT>(k)) {
+      out.emplace_back(s.cols[j], static_cast<CT>(v));
+    }
+    if (s.cols.idx == nullptr) continue;
+    std::stable_sort(out.begin(), out.end(), ColumnLess{});
+    // Keep the last of equal columns.
+    auto kept = out.begin();
+    for (auto it = out.begin(); it != out.end(); ++it) {
+      if (it + 1 != out.end() && (it + 1)->first == it->first) continue;
+      *kept++ = *it;
+    }
+    out.erase(kept, out.end());
+  }
+}
+
+/// transpose: scatter every stored A(i, j) into output row j. Run over the
+/// whole of A at once, so each output row fills in ascending i.
+template <typename CT, typename AT>
+void flip_rows(const IndexState& s, IndexType begin, IndexType end) {
+  Row<CT>* out_rows = static_cast<Row<CT>*>(s.out_rows);
+  for (IndexType i = begin; i < end; ++i) {
+    detail::pool_checkpoint();
+    for (const auto& [j, v] : s.a.row<AT>(i)) {
+      out_rows[j].emplace_back(i, static_cast<CT>(v));
+    }
+  }
+}
+
+enum class IndexOp { kAssign, kExtract, kTranspose };
+
+/// The core of an index op into a vector or a matrix. A transpose of a
+/// transposed input (the two cancel) is a cast copy.
+template <IndexOp Op, bool Matrix, typename CT, typename AT, bool ATrans>
+constexpr IndexFn index_core() {
+  if constexpr (!Matrix) {
+    return Op == IndexOp::kAssign ? &scatter_v<CT, AT> : &gather_v<CT, AT>;
+  } else if constexpr (Op == IndexOp::kAssign) {
+    return &scatter_rows<CT, AT>;
+  } else {
+    return Op == IndexOp::kTranspose && !ATrans ? &flip_rows<CT, AT>
+                                                : &gather_rows<CT, AT>;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// kronecker (in-process only; eWise's matrix state and call block): output
+// row ia*nb + ib is the ⊗ of rows A(ia, :) and B(ib, :).
+// ---------------------------------------------------------------------------
+
+template <typename D3, typename AT, typename BT, typename Op>
+void kron_rows(const EwMState& s, IndexType begin, IndexType end) {
+  const Op& op = *static_cast<const Op*>(s.op);
+  Row<D3>* out_rows = static_cast<Row<D3>*>(s.out_rows);
+  for (IndexType i = begin; i < end; ++i) {
+    detail::pool_checkpoint();
+    const Row<AT>& ra = s.a.row<AT>(i / s.b.nrows);
+    const Row<BT>& rb = s.b.row<BT>(i % s.b.nrows);
+    if (ra.empty() || rb.empty()) continue;
+    Row<D3>& out = out_rows[i];
+    out.reserve(ra.size() * rb.size());
+    // ja ascending, jb ascending: output columns come out sorted.
+    for (const auto& [ja, av] : ra) {
+      for (const auto& [jb, bv] : rb) {
+        out.emplace_back(ja * s.b.ncols + jb, static_cast<D3>(op(av, bv)));
+      }
+    }
+  }
+}
+
 }  // namespace core
 
 // ---------------------------------------------------------------------------
@@ -838,6 +1010,7 @@ struct EwiseMCall {
   bool a_transposed = false;
   bool b_transposed = false;
   bool replace = false;
+  bool kron = false;  ///< a Kronecker product (in-process only)
   CallBackend backend = CallBackend::kActive;
   const void* op = nullptr;
   core::EwMCore core;
@@ -907,6 +1080,26 @@ struct ReduceSCall {
   core::ReduceCore core;
 };
 
+/// assign / extract / transpose, into a vector (IndexVCall) or a matrix
+/// (IndexMCall). For a constant assign, a is null and `scalar` points at
+/// the CT value.
+template <typename Accum>
+struct IndexCall {
+  void* c = nullptr;  ///< Vector<CT> or Matrix<CT>
+  const void* a = nullptr;
+  const OperandOps* a_ops = nullptr;
+  const void* scalar = nullptr;
+  const IndexArray* rows = nullptr;  ///< I (null: all)
+  const IndexArray* cols = nullptr;  ///< J (null: all; matrices only)
+  MaskArg mask;
+  bool a_transposed = false;  ///< transpose only
+  bool replace = false;
+  core::IndexFn core = nullptr;
+  Accum accum;
+};
+using IndexVCall = IndexCall<core::VecAccum>;
+using IndexMCall = IndexCall<core::MatAccum>;
+
 /// Element-type slot of a GraphBLAS dtype in the DriverTable (the order of
 /// pygb::DType).
 template <typename T>
@@ -943,9 +1136,14 @@ struct DriverTable {
   void (*reduce_m_v[kNumElemTypes])(const ReduceMVCall&);
   void (*reduce_m_s[kNumElemTypes])(const ReduceSCall&);
   void (*reduce_v_s[kNumElemTypes])(const ReduceSCall&);
+  void (*assign_v[kNumElemTypes])(const IndexVCall&);
+  void (*extract_v[kNumElemTypes])(const IndexVCall&);
+  void (*assign_m[kNumElemTypes])(const IndexMCall&);
+  void (*extract_m[kNumElemTypes])(const IndexMCall&);
+  void (*transpose_m[kNumElemTypes])(const IndexMCall&);
 };
 
-inline constexpr unsigned kDriverTableVersion = 1;
+inline constexpr unsigned kDriverTableVersion = 2;
 
 #if defined(GBTL_POOL_LINKED)
 /// The host's table (gbtl/detail/drivers.cpp).

@@ -26,7 +26,12 @@ struct Dtypes {
             {&detail::apply_v_driver<Ts>...},
             {&detail::reduce_m_v_driver<Ts>...},
             {&detail::reduce_m_s_driver<Ts>...},
-            {&detail::reduce_v_s_driver<Ts>...}};
+            {&detail::reduce_v_s_driver<Ts>...},
+            {&detail::assign_v_driver<Ts>...},
+            {&detail::extract_v_driver<Ts>...},
+            {&detail::assign_m_driver<Ts>...},
+            {&detail::extract_m_driver<Ts>...},
+            {&detail::transpose_m_driver<Ts>...}};
   }
 };
 

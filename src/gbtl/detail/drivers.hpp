@@ -14,8 +14,10 @@
 // other types (e.g. `long long` containers) instantiate them inline.
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -27,7 +29,6 @@
 #include "gbtl/detail/pool.hpp"
 #include "gbtl/detail/simd.hpp"
 #include "gbtl/detail/transpose_cache.hpp"
-#include "gbtl/detail/write_backend.hpp"
 #include "gbtl/matrix.hpp"
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
@@ -36,38 +37,6 @@
 namespace gbtl {
 
 namespace detail {
-
-/// Materialize the transpose of a sparse matrix (O(nnz + nrows + ncols)).
-template <typename T>
-Matrix<T> materialize_transpose(const Matrix<T>& a) {
-  Matrix<T> at(a.ncols(), a.nrows());
-  // Two-pass: count per-output-row, then fill in order. Filling in row-major
-  // input order appends strictly increasing column indices per output row,
-  // so rows stay sorted without per-insert searches.
-  ScopedMemCharge charge(
-      a.ncols() * sizeof(typename Matrix<T>::Row) +
-      a.nvals() * sizeof(std::pair<IndexType, T>));
-  std::vector<typename Matrix<T>::Row> out_rows(a.ncols());
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    pool_checkpoint();
-    for (const auto& [j, v] : a.row(i)) out_rows[j].emplace_back(i, v);
-  }
-  for (IndexType j = 0; j < a.ncols(); ++j) {
-    at.setRow(j, std::move(out_rows[j]));
-  }
-  return at;
-}
-
-/// Resolve an operand that may be a TransposeView into a concrete Matrix
-/// (materializing when needed) so row-layout kernels can run on it.
-template <typename MatT>
-decltype(auto) resolve_matrix(const MatT& a) {
-  if constexpr (is_transpose_view_v<std::remove_cvref_t<MatT>>) {
-    return materialize_transpose(a.inner());
-  } else {
-    return (a);  // parenthesized: returns const Matrix<T>&
-  }
-}
 
 /// The Matrix under an operand that may be a TransposeView.
 template <typename MatT>
@@ -99,15 +68,10 @@ inline bool mxv_should_pull(std::size_t nvals, IndexType size) noexcept {
 }
 
 /// SPA working-set budget for the simd backend's L2-tiled Gustavson
-/// kernel. Mutable slot (PYGB_MXM_TILE_BYTES seeds it) so the property
-/// tests can force tiling on tiny matrices.
+/// kernel, 256 KiB. A mutable slot so the property tests can force tiling
+/// on tiny matrices.
 inline std::uint64_t& mxm_tile_bytes() noexcept {
-  static std::uint64_t bytes = [] {
-    const char* v = std::getenv("PYGB_MXM_TILE_BYTES");
-    return (v != nullptr && *v != '\0')
-               ? static_cast<std::uint64_t>(std::atoll(v))
-               : std::uint64_t{256} * 1024;
-  }();
+  static std::uint64_t bytes = std::uint64_t{256} * 1024;
   return bytes;
 }
 
@@ -213,6 +177,84 @@ struct VecStage {
   std::vector<core::Slot<CT>> vals;
 };
 
+// ---------------------------------------------------------------------------
+// The commit: the GraphBLAS output-write discipline every op shares,
+//
+//   Z = accum ? (C (+) T) : T     (the accum core folds C into T where both
+//                                  hold a value)
+//   C = mask/replace merge of Z   (masked in: take Z; masked out: keep C,
+//                                  or drop it under replace)
+//
+// `keep_prior` (an accumulator is present) says whether masked-in positions
+// without a T value keep C's value.
+// ---------------------------------------------------------------------------
+
+template <typename CT>
+void commit_vector(Vector<CT>& c, const unsigned char* present,
+                   const core::Slot<CT>* vals, const core::VecMask& m,
+                   bool keep_prior, bool replace) {
+  for (IndexType i = 0; i < c.size(); ++i) {
+    const bool has_c = c.has_unchecked(i);
+    const bool has_t = present[i] != 0;
+    if (!has_c && !has_t) continue;
+    if (!m(i)) {
+      if (has_c && replace) c.removeElement(i);
+      continue;
+    }
+    if (has_t) {
+      c.set_unchecked(i, static_cast<CT>(vals[i]));
+    } else if (!keep_prior) {
+      c.removeElement(i);
+    }
+  }
+}
+
+template <typename CT>
+void commit_matrix(Matrix<CT>& c, core::Row<CT>* t_rows,
+                   const core::MatMask& m, bool keep_prior, bool replace) {
+  using CRow = typename Matrix<CT>::Row;
+  for (IndexType i = 0; i < c.nrows(); ++i) {
+    const auto& crow = c.row(i);
+    const auto& trow = t_rows[i];
+    CRow out;
+    out.reserve(crow.size() + trow.size());
+    auto ci = crow.begin();
+    auto ti = trow.begin();
+    // Walk the union of stored positions in C and T; positions stored in
+    // neither need no action under any mode.
+    while (ci != crow.end() || ti != trow.end()) {
+      IndexType j;
+      const CT* cv = nullptr;
+      const CT* tv = nullptr;
+      if (ti == trow.end() || (ci != crow.end() && ci->first < ti->first)) {
+        j = ci->first;
+        cv = &ci->second;
+        ++ci;
+      } else if (ci == crow.end() || ti->first < ci->first) {
+        j = ti->first;
+        tv = &ti->second;
+        ++ti;
+      } else {
+        j = ci->first;
+        cv = &ci->second;
+        tv = &ti->second;
+        ++ci;
+        ++ti;
+      }
+      if (!m(i, j)) {
+        if (cv != nullptr && !replace) out.emplace_back(j, *cv);
+        continue;
+      }
+      if (tv != nullptr) {
+        out.emplace_back(j, *tv);
+      } else if (keep_prior) {
+        out.emplace_back(j, *cv);
+      }
+    }
+    c.setRow(i, std::move(out));
+  }
+}
+
 template <typename CT>
 void finish_vector(Vector<CT>& w, VecStage<CT>& t, const core::VecMask& mask,
                    const core::VecAccum& accum, bool replace) {
@@ -308,19 +350,6 @@ void mxv_driver(const MxvCall& call) {
   finish_vector(w, t, s.mask, call.accum, call.replace);
 }
 
-/// Transpose staged rows (nrows rows of width ncols) into ncols rows.
-template <typename T>
-std::vector<core::Row<T>> transpose_rows(std::vector<core::Row<T>>& rows,
-                                         IndexType ncols) {
-  ScopedMemCharge charge(ncols * sizeof(core::Row<T>));
-  std::vector<core::Row<T>> out(ncols);
-  for (IndexType i = 0; i < rows.size(); ++i) {
-    pool_checkpoint();
-    for (const auto& [j, v] : rows[i]) out[j].emplace_back(i, v);
-  }
-  return out;
-}
-
 template <typename CT>
 void mxm_driver(const MxmCall& call) {
   Matrix<CT>& c = *static_cast<Matrix<CT>*>(call.c);
@@ -392,7 +421,16 @@ void mxm_driver(const MxmCall& call) {
     s.out_rows = t.data();
     run_rows(nrows, s, fn);
   }
-  if (swapped) t = transpose_rows(t, s.b.ncols);
+  if (swapped) {
+    // Flip the staged B·A rows into (A^T·B^T)'s.
+    ScopedMemCharge charge(s.b.ncols * sizeof(core::Row<CT>));
+    std::vector<core::Row<CT>> flipped(s.b.ncols);
+    core::IndexState fs;
+    fs.a = {t.data(), nrows, s.b.ncols, 0};
+    fs.out_rows = flipped.data();
+    core::flip_rows<CT, CT>(fs, 0, nrows);
+    t = std::move(flipped);
+  }
   finish_matrix(c, t, mask, call.accum, call.replace);
 }
 
@@ -401,10 +439,13 @@ void ewise_m_driver(const EwiseMCall& call) {
   Matrix<CT>& c = *static_cast<Matrix<CT>*>(call.c);
   const Shape as = logical_shape(call.a_ops->matrix(call.a), call.a_transposed);
   const Shape bs = logical_shape(call.b_ops->matrix(call.b), call.b_transposed);
-  if (as.nrows != bs.nrows || as.ncols != bs.ncols) {
+  if (call.kron) {
+    if (c.nrows() != as.nrows * bs.nrows || c.ncols() != as.ncols * bs.ncols) {
+      throw DimensionException("kronecker: output shape != (na*nb, ma*mb)");
+    }
+  } else if (as.nrows != bs.nrows || as.ncols != bs.ncols) {
     throw DimensionException("eWise: A and B shapes differ");
-  }
-  if (c.nrows() != as.nrows || c.ncols() != as.ncols) {
+  } else if (c.nrows() != as.nrows || c.ncols() != as.ncols) {
     throw DimensionException("eWise: output shape differs from inputs");
   }
   std::shared_ptr<const void> ka, kb;
@@ -415,10 +456,10 @@ void ewise_m_driver(const EwiseMCall& call) {
   const core::MatMask mask = mat_mask(call.mask, c.nrows(), c.ncols());
   std::vector<core::Row<CT>> t;
   {
-    ScopedMemCharge charge(as.nrows * sizeof(core::Row<CT>));
-    t.resize(as.nrows);
+    ScopedMemCharge charge(c.nrows() * sizeof(core::Row<CT>));
+    t.resize(c.nrows());
     s.out_rows = t.data();
-    run_rows(as.nrows, s, call.core.rows);
+    run_rows(c.nrows(), s, call.core.rows);
   }
   finish_matrix(c, t, mask, call.accum, call.replace);
 }
@@ -591,6 +632,190 @@ void reduce_v_s_driver(const ReduceSCall& call) {
                    tiles, call.val);
 }
 
+/// I or J checked against the dimension it indexes; null is all of [0, dim).
+inline core::IndexMap index_map(const IndexArray* idx, IndexType dim,
+                                const char* what) {
+  if (idx != nullptr) {
+    for (IndexType i : *idx) {
+      if (i >= dim) {
+        throw IndexOutOfBoundsException(std::string(what) + " index " +
+                                        std::to_string(i) + " >= " +
+                                        std::to_string(dim));
+      }
+    }
+  }
+  return {idx, dim};
+}
+
+/// w<m, z>(I) = w(I) (+) u, or (+) a constant.
+template <typename CT>
+void assign_v_driver(const IndexVCall& call) {
+  Vector<CT>& w = *static_cast<Vector<CT>*>(call.c);
+  const IndexType n = w.size();
+  const core::IndexMap idx = index_map(call.rows, n, "assign");
+  const core::VecMask mask = vec_mask(call.mask, n);
+  core::IndexState s;
+  if (call.a != nullptr) {
+    s.u = call.a_ops->vector(call.a);
+    if (s.u.size != idx.size()) {
+      throw DimensionException("assign: size(u) != |I|");
+    }
+  }
+  VecStage<CT> t(n, n * (1 + sizeof(CT)));
+  // Without an accumulator the region takes exactly the new values and the
+  // rest of w stays: T starts as w unless the region is all of it.
+  if (call.accum.fn == nullptr && idx.idx != nullptr) {
+    std::copy(w.bitmap().begin(), w.bitmap().end(), t.present.begin());
+    std::copy(w.values().begin(), w.values().end(), t.vals.begin());
+  }
+  if (call.a == nullptr) {
+    const CT val = *static_cast<const CT*>(call.scalar);
+    for (IndexType k = 0; k < idx.size(); ++k) {
+      t.present[idx[k]] = 1;
+      t.vals[idx[k]] = val;
+    }
+  } else {
+    s.rows = idx;
+    s.present = t.present.data();
+    s.vals = t.vals.data();
+    call.core(s, 0, s.u.size);
+  }
+  finish_vector(w, t, mask, call.accum, call.replace);
+}
+
+/// w<m, z> = w (+) u(I).
+template <typename CT>
+void extract_v_driver(const IndexVCall& call) {
+  Vector<CT>& w = *static_cast<Vector<CT>*>(call.c);
+  core::IndexState s;
+  s.u = call.a_ops->vector(call.a);
+  s.rows = index_map(call.rows, s.u.size, "extract");
+  const IndexType n = w.size();
+  if (n != s.rows.size()) {
+    throw DimensionException("extract: output size != |I|");
+  }
+  const core::VecMask mask = vec_mask(call.mask, n);
+  VecStage<CT> t(n, n * (1 + sizeof(CT)));
+  s.present = t.present.data();
+  s.vals = t.vals.data();
+  run_rows(n, s, call.core);
+  finish_vector(w, t, mask, call.accum, call.replace);
+}
+
+/// C<M, z>(I, J) = C(I, J) (+) A, or (+) a constant.
+template <typename CT>
+void assign_m_driver(const IndexMCall& call) {
+  Matrix<CT>& c = *static_cast<Matrix<CT>*>(call.c);
+  const core::IndexMap rows = index_map(call.rows, c.nrows(), "assign row");
+  const core::IndexMap cols = index_map(call.cols, c.ncols(), "assign col");
+  const core::MatMask mask = mat_mask(call.mask, c.nrows(), c.ncols());
+  core::IndexState s;
+  if (call.a != nullptr) {
+    s.a = call.a_ops->matrix(call.a);
+    if (s.a.nrows != rows.size() || s.a.ncols != cols.size()) {
+      throw DimensionException("assign: A shape != |I| x |J|");
+    }
+  }
+  ScopedMemCharge charge(c.nrows() * sizeof(core::Row<CT>) +
+                         c.nvals() * sizeof(std::pair<IndexType, CT>));
+  std::vector<core::Row<CT>> t(c.nrows());
+  std::vector<bool> in_rows(c.nrows(), false);
+  std::vector<bool> in_cols(c.ncols(), false);
+  for (IndexType k = 0; k < rows.size(); ++k) in_rows[rows[k]] = true;
+  for (IndexType k = 0; k < cols.size(); ++k) in_cols[cols[k]] = true;
+  if (call.a == nullptr) {
+    // Every region position takes the constant.
+    const CT val = *static_cast<const CT*>(call.scalar);
+    for (IndexType i = 0; i < c.nrows(); ++i) {
+      for (IndexType j = 0; in_rows[i] && j < c.ncols(); ++j) {
+        if (in_cols[j]) t[i].emplace_back(j, val);
+      }
+    }
+  } else {
+    s.rows = rows;
+    s.cols = cols;
+    s.out_rows = t.data();
+    call.core(s, 0, s.a.nrows);
+  }
+  // Without an accumulator the region takes exactly the new structure and
+  // the rest of C stays: T is C outside the region.
+  if (call.accum.fn == nullptr &&
+      (rows.idx != nullptr || cols.idx != nullptr)) {
+    for (IndexType i = 0; i < c.nrows(); ++i) {
+      const IndexType fresh = t[i].size();
+      for (const auto& e : c.row(i)) {
+        if (!in_rows[i] || !in_cols[e.first]) t[i].push_back(e);
+      }
+      std::inplace_merge(t[i].begin(), t[i].begin() + fresh, t[i].end(),
+                         core::ColumnLess{});
+    }
+  }
+  finish_matrix(c, t, mask, call.accum, call.replace);
+}
+
+/// C<M, z> = C (+) A(I, J). I and J may repeat indices.
+template <typename CT>
+void extract_m_driver(const IndexMCall& call) {
+  Matrix<CT>& c = *static_cast<Matrix<CT>*>(call.c);
+  core::IndexState s;
+  s.a = call.a_ops->matrix(call.a);
+  s.rows = index_map(call.rows, s.a.nrows, "extract row");
+  s.cols = index_map(call.cols, s.a.ncols, "extract col");
+  if (c.nrows() != s.rows.size() || c.ncols() != s.cols.size()) {
+    throw DimensionException("extract: output shape != |I| x |J|");
+  }
+  const core::MatMask mask = mat_mask(call.mask, c.nrows(), c.ncols());
+  // Invert an explicit J: source column j -> the output columns it feeds.
+  std::vector<IndexType> col_start;
+  std::vector<IndexType> col_out(s.cols.size());
+  if (s.cols.idx != nullptr) {
+    col_start.assign(s.a.ncols + 1, 0);
+    for (IndexType j : *s.cols.idx) ++col_start[j + 1];
+    for (IndexType j = 0; j < s.a.ncols; ++j) col_start[j + 1] += col_start[j];
+    std::vector<IndexType> next(col_start.begin(), col_start.end() - 1);
+    for (IndexType k = 0; k < s.cols.size(); ++k) {
+      col_out[next[(*s.cols.idx)[k]]++] = k;
+    }
+    s.col_start = col_start.data();
+    s.col_out = col_out.data();
+  }
+  std::vector<core::Row<CT>> t;
+  {
+    ScopedMemCharge charge(c.nrows() * sizeof(core::Row<CT>));
+    t.resize(c.nrows());
+    s.out_rows = t.data();
+    run_rows(c.nrows(), s, call.core);
+  }
+  finish_matrix(c, t, mask, call.accum, call.replace);
+}
+
+/// C<M, z> = C (+) A^T; a transposed input cancels the flip (C = A).
+template <typename CT>
+void transpose_m_driver(const IndexMCall& call) {
+  Matrix<CT>& c = *static_cast<Matrix<CT>*>(call.c);
+  core::IndexState s;
+  s.a = call.a_ops->matrix(call.a);
+  const Shape out = logical_shape(s.a, !call.a_transposed);
+  if (c.nrows() != out.nrows || c.ncols() != out.ncols) {
+    throw DimensionException("transpose: output shape != A^T shape");
+  }
+  const core::MatMask mask = mat_mask(call.mask, c.nrows(), c.ncols());
+  std::vector<core::Row<CT>> t;
+  {
+    ScopedMemCharge charge(c.nrows() * sizeof(core::Row<CT>) +
+                           s.a.nvals * sizeof(std::pair<IndexType, CT>));
+    t.resize(c.nrows());
+    s.rows = {nullptr, s.a.nrows};
+    s.out_rows = t.data();
+    if (call.a_transposed) {
+      run_rows(s.a.nrows, s, call.core);  // row-wise cast copy
+    } else {
+      call.core(s, 0, s.a.nrows);  // the flip scatters across rows
+    }
+  }
+  finish_matrix(c, t, mask, call.accum, call.replace);
+}
+
 /// The drivers of every dtype. libpygb instantiates them for the eleven
 /// GraphBLAS dtypes in gbtl/detail/drivers.cpp, one family after another
 /// so the drivers one op uses sit together in the binary, and every other
@@ -616,7 +841,12 @@ void reduce_v_s_driver(const ReduceSCall& call) {
   GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, apply_v_driver, ApplyVCall)       \
   GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, reduce_m_v_driver, ReduceMVCall)  \
   GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, reduce_m_s_driver, ReduceSCall)   \
-  GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, reduce_v_s_driver, ReduceSCall)
+  GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, reduce_v_s_driver, ReduceSCall)   \
+  GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, assign_v_driver, IndexVCall)      \
+  GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, extract_v_driver, IndexVCall)     \
+  GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, assign_m_driver, IndexMCall)      \
+  GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, extract_m_driver, IndexMCall)     \
+  GBTL_DRIVER_OF_ALL_DTYPES(PREFIX, transpose_m_driver, IndexMCall)
 
 #if defined(GBTL_POOL_LINKED)
 GBTL_DRIVERS_OF_ALL_DTYPES(extern)
@@ -675,6 +905,49 @@ class BoolMask {
   MaskArg arg_;
   std::variant<std::monostate, Matrix<bool>, Vector<bool>> storage_;
 };
+
+/// The call blocks' form of an index argument: null for AllIndices.
+inline const IndexArray* index_arg(const AllIndices&) { return nullptr; }
+inline const IndexArray* index_arg(const IndexArray& idx) { return &idx; }
+
+/// The in-process assign, extract and transpose: out<mask, accum>(I, J)
+/// from the source container `a`, or from the constant `*scalar` when `a`
+/// is null.
+template <core::IndexOp Op, bool ATrans = false, typename OutT,
+          typename MaskT, typename AccumT, typename SrcT, typename RowIdxT,
+          typename ColIdxT = AllIndices>
+void run_index(OutT& out, const MaskT& mask, const AccumT& accum,
+               const SrcT* a, const typename OutT::ScalarType* scalar,
+               const RowIdxT& rows, const ColIdxT& cols,
+               OutputControl outp) {
+  using CT = typename OutT::ScalarType;
+  using AT = typename SrcT::ScalarType;
+  constexpr bool kMatrix = std::is_same_v<OutT, Matrix<CT>>;
+  const BoolMask<MaskT> m(mask);
+  IndexCall<std::conditional_t<kMatrix, core::MatAccum, core::VecAccum>> call;
+  call.c = &out;
+  call.a = a;
+  call.a_ops = operand_ops<AT>();
+  call.scalar = scalar;
+  call.rows = index_arg(rows);
+  call.cols = index_arg(cols);
+  call.mask = m.arg();
+  call.a_transposed = ATrans;
+  call.replace = outp == OutputControl::kReplace;
+  call.core = core::index_core<Op, kMatrix, CT, AT, ATrans>();
+  if constexpr (kMatrix) {
+    call.accum = core::mat_accum<CT>(accum);
+    if constexpr (Op == core::IndexOp::kAssign) assign_m_driver<CT>(call);
+    if constexpr (Op == core::IndexOp::kExtract) extract_m_driver<CT>(call);
+    if constexpr (Op == core::IndexOp::kTranspose) {
+      transpose_m_driver<CT>(call);
+    }
+  } else {
+    call.accum = core::vec_accum<CT>(accum);
+    if constexpr (Op == core::IndexOp::kAssign) assign_v_driver<CT>(call);
+    if constexpr (Op == core::IndexOp::kExtract) extract_v_driver<CT>(call);
+  }
+}
 
 }  // namespace detail
 

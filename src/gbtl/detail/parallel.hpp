@@ -6,16 +6,16 @@
 // block-partitioned parallel_for over row ranges used by every row-wise
 // kernel (mxm, mxv-pull, eWiseAdd/eWiseMult, apply, reduce). Work runs on
 // the persistent worker pool in detail/pool.{hpp,cpp} — workers are
-// started once, parked between operations, and partitioned statically or
-// dynamically (GBTL_SCHEDULE) — instead of spawning and joining fresh
-// std::threads per call. The worker count comes from GBTL_NUM_THREADS
+// started once, parked between operations, and each takes one contiguous
+// block of rows — instead of spawning and joining fresh std::threads per
+// call. The worker count comes from GBTL_NUM_THREADS
 // (default 1 = fully sequential, no thread machinery touched);
 // set_num_threads resizes the pool at run time.
 //
 // Kernels parallelize by writing disjoint row slots of a staging buffer;
 // shared container state (nvals bookkeeping) is only touched in the
 // sequential assembly pass, so no locks are needed, and results are
-// bit-identical for every worker count and schedule.
+// bit-identical for every worker count.
 //
 // The dlopen constraint: JIT-generated modules compile this header with a
 // bare `g++ -shared` that never links libpygb, so nothing here may assume
@@ -60,16 +60,9 @@ inline unsigned num_threads() { return pool_num_threads(); }
 /// new size on the next parallel operation.
 inline void set_num_threads(unsigned n) { pool_set_num_threads(n); }
 
-#if defined(GBTL_POOL_LINKED)
-/// Current partitioning mode (GBTL_SCHEDULE or set_schedule).
-inline Schedule schedule() { return pool_schedule(); }
-/// Override the partitioning mode for subsequent parallel operations.
-inline void set_schedule(Schedule s) { pool_set_schedule(s); }
-#endif
-
 /// Run f(begin, end) over a partition of [0, n) on the worker pool. With
-/// one thread (or tiny n) the call runs inline on the caller; f may be
-/// invoked several times per worker (dynamic schedule hands out chunks).
+/// one thread (or tiny n) the call runs inline on the caller, in chunks, so
+/// f may be invoked several times over disjoint sub-ranges.
 /// Exceptions thrown by workers are rethrown on the caller after the
 /// operation drains. Nested calls run inline (no oversubscription).
 /// Sequential-path chunk width: large enough that the per-chunk governor
@@ -80,10 +73,9 @@ inline constexpr IndexType kSequentialCheckpointRows = 8192;
 template <typename F>
 void parallel_for_rows(IndexType n, F&& f) {
   if (n < 2 * kMinRowsPerThread || pool_num_threads() <= 1) {
-    // Inline path. Kernels already tolerate multiple f invocations over
-    // disjoint sub-ranges (the dynamic schedule does exactly this), so
-    // chunking here changes no result — it only gives the governor the
-    // same checkpoint cadence the pooled path gets at chunk boundaries.
+    // Inline path. Kernels write disjoint per-row slots, so chunking here
+    // changes no result — it only gives the governor the same checkpoint
+    // cadence the pooled path gets at block boundaries.
     pool_checkpoint();
     if (n == 0) {
       f(IndexType{0}, IndexType{0});

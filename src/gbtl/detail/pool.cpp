@@ -30,7 +30,6 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,29 +49,19 @@ unsigned env_thread_count() {
   return static_cast<unsigned>(parsed < 1 ? 1 : parsed);
 }
 
-Schedule env_schedule() {
-  const char* v = std::getenv("GBTL_SCHEDULE");
-  if (v != nullptr && std::string_view(v) == "dynamic") {
-    return Schedule::kDynamic;
-  }
-  return Schedule::kStatic;
-}
-
 /// One parallel_for in flight. Lives on the submitter's stack; workers
 /// only touch it between publication and their acknowledgement.
 struct Job {
   PoolTaskFn fn = nullptr;
   void* ctx = nullptr;
   IndexType n = 0;
-  IndexType chunk = 0;        ///< block (static) or claim unit (dynamic)
+  IndexType chunk = 0;        ///< rows per participant's block
   unsigned participants = 0;  ///< submitter + workers doing real work
-  Schedule sched = Schedule::kStatic;
   /// The submitter's bound governor context (nullptr = default): workers
   /// re-bind it for the job's duration so checkpoints and memory charges
   /// inside kernels route to the submitting tenant, not the process-wide
   /// scope (per-request isolation, docs/SERVING.md).
   pygb::governor::RequestContext* gov_ctx = nullptr;
-  std::atomic<IndexType> next{0};  ///< dynamic-mode claim cursor
   std::atomic<bool> has_error{false};
   std::exception_ptr error;  ///< written by the has_error winner only
 };
@@ -100,13 +89,6 @@ class WorkerPool {
     count_.store(n, std::memory_order_relaxed);
     pygb::flightrec::record(pygb::flightrec::EventKind::kPool, "resize", n);
     // The new complement starts lazily on the next parallel operation.
-  }
-
-  Schedule sched() const noexcept {
-    return sched_.load(std::memory_order_relaxed);
-  }
-  void set_sched(Schedule s) noexcept {
-    sched_.store(s, std::memory_order_relaxed);
   }
 
   void parallel_for(IndexType n, PoolTaskFn fn, void* ctx) {
@@ -145,18 +127,9 @@ class WorkerPool {
     job.ctx = ctx;
     job.n = n;
     job.gov_ctx = pygb::governor::bound_context();
-    job.sched = sched();
     job.participants = std::min<unsigned>(
         workers, static_cast<unsigned>(threads_.size()) + 1);
-    if (job.sched == Schedule::kDynamic) {
-      // Several claims per participant to absorb skew, but never chunks so
-      // small that cursor traffic dominates.
-      const IndexType per =
-          job.n / static_cast<IndexType>(job.participants * 4);
-      job.chunk = std::max(per, kMinRowsPerThread);
-    } else {
-      job.chunk = (job.n + job.participants - 1) / job.participants;
-    }
+    job.chunk = (job.n + job.participants - 1) / job.participants;
 
     {
       std::lock_guard publish(job_mu_);
@@ -179,8 +152,7 @@ class WorkerPool {
   }
 
  private:
-  WorkerPool()
-      : count_(env_thread_count()), sched_(env_schedule()) {}
+  WorkerPool() : count_(env_thread_count()) {}
 
   ~WorkerPool() {
     std::lock_guard submit(submit_mu_);
@@ -254,27 +226,15 @@ class WorkerPool {
     // submitter still owns the context's lifetime.
     pygb::governor::ThreadBind bind(job.gov_ctx);
     try {
-      if (job.sched == Schedule::kStatic) {
-        const IndexType begin =
-            static_cast<IndexType>(index) * job.chunk;
-        if (begin >= job.n) return;
-        const IndexType end = std::min(job.n, begin + job.chunk);
-        if (!job.has_error.load(std::memory_order_relaxed)) {
-          // Governor checkpoint at the chunk boundary: a cancelled or
-          // past-deadline op aborts before the chunk starts; the throw is
-          // captured below like any kernel exception.
-          pygb::governor::checkpoint();
-          job.fn(job.ctx, begin, end);
-        }
-      } else {
-        while (!job.has_error.load(std::memory_order_relaxed)) {
-          const IndexType begin =
-              job.next.fetch_add(job.chunk, std::memory_order_relaxed);
-          if (begin >= job.n) break;
-          const IndexType end = std::min(job.n, begin + job.chunk);
-          pygb::governor::checkpoint();
-          job.fn(job.ctx, begin, end);
-        }
+      const IndexType begin = static_cast<IndexType>(index) * job.chunk;
+      if (begin >= job.n) return;
+      const IndexType end = std::min(job.n, begin + job.chunk);
+      if (!job.has_error.load(std::memory_order_relaxed)) {
+        // Governor checkpoint at the block boundary: a cancelled or
+        // past-deadline op aborts before the block starts; the throw is
+        // captured below like any kernel exception.
+        pygb::governor::checkpoint();
+        job.fn(job.ctx, begin, end);
       }
     } catch (...) {
       if (!job.has_error.exchange(true)) {
@@ -295,7 +255,6 @@ class WorkerPool {
 
   std::vector<std::thread> threads_;  ///< guarded by submit_mu_
   std::atomic<unsigned> count_;
-  std::atomic<Schedule> sched_;
 };
 
 void api_parallel_for(IndexType n, PoolTaskFn fn, void* ctx) {
@@ -353,10 +312,6 @@ void pool_set_num_threads(unsigned n) { WorkerPool::instance().set_count(n); }
 void pool_parallel_for(IndexType n, PoolTaskFn fn, void* ctx) {
   WorkerPool::instance().parallel_for(n, fn, ctx);
 }
-
-Schedule pool_schedule() { return WorkerPool::instance().sched(); }
-
-void pool_set_schedule(Schedule s) { WorkerPool::instance().set_sched(s); }
 
 void pool_checkpoint() { pygb::governor::checkpoint(); }
 

@@ -4,17 +4,10 @@
 // The pool replaces the spawn/join-per-call threading of the original
 // parallel_for_rows: GBTL_NUM_THREADS - 1 workers are started lazily on
 // the first parallel operation, parked on a condition variable between
-// operations, and reused for every subsequent parallel_for_rows. Two
-// partitioning modes are supported (GBTL_SCHEDULE, overridable with
-// set_schedule):
+// operations, and reused for every subsequent parallel_for_rows. Each
+// participant runs one contiguous block of rows.
 //
-//   static  — one contiguous block of rows per participant (the default;
-//             lowest overhead, ideal for uniform row costs);
-//   dynamic — participants claim fixed-size chunks off a shared atomic
-//             cursor, which load-balances skew-heavy row distributions
-//             (RMAT/Kronecker power-law graphs).
-//
-// Results never depend on the schedule or the worker count: kernels write
+// Results never depend on the worker count: kernels write
 // disjoint per-row (or per-tile) staging slots and all combining happens
 // in a deterministic sequential tail on the caller.
 //
@@ -40,9 +33,6 @@
 
 namespace gbtl::detail {
 
-/// Row-partitioning strategy for one parallel_for (see header comment).
-enum class Schedule : unsigned { kStatic = 0, kDynamic = 1 };
-
 /// Below this many rows per worker the dispatch cost dwarfs any win; the
 /// pool clamps its participant count so every block is at least this tall,
 /// and parallel_for_rows runs ranges shorter than twice this inline.
@@ -67,11 +57,6 @@ void pool_set_num_threads(unsigned n);
 /// caller after the operation completes. Nested calls (from inside a pool
 /// task) and calls while another host thread owns the pool run inline.
 void pool_parallel_for(IndexType n, PoolTaskFn fn, void* ctx);
-
-/// Current partitioning mode. Initialized from GBTL_SCHEDULE
-/// ("static" | "dynamic", default static) on first use.
-Schedule pool_schedule();
-void pool_set_schedule(Schedule s);
 
 /// Per-request context routing (PoolApi v4): the calling thread's bound
 /// pygb::governor::RequestContext as an opaque pointer, and a way to adopt

@@ -5,12 +5,12 @@
 // transpose is materialized once and snapshotted on the source matrix
 // (Matrix::transpose_cache). Row-major traversal of A emits entries into
 // each output row in ascending source-row order, so every row of the
-// result is already sorted — the same invariant materialize_transpose in
-// mxm.hpp relies on.
+// result is already sorted.
 #pragma once
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "gbtl/detail/pool.hpp"
 #include "gbtl/matrix.hpp"
@@ -18,20 +18,15 @@
 
 namespace gbtl::detail {
 
-/// Return a shared snapshot of a's transpose, building (and caching) it on
-/// first use. Cancellation/deadline aborts the build before any cache is
-/// installed, so a governor-interrupted op leaves no partial snapshot.
+/// Materialize the transpose of a sparse matrix (O(nnz + nrows + ncols)).
+/// Cancellation/deadline aborts the build at a row checkpoint.
 template <typename T>
-std::shared_ptr<const Matrix<T>> cached_transpose(const Matrix<T>& a) {
-  if (auto hit = a.transpose_cache()) return hit;
-
-  using Entry = typename Matrix<T>::Entry;
+Matrix<T> materialize_transpose(const Matrix<T>& a) {
   using Row = typename Matrix<T>::Row;
   // Entries move from A's rows to A^T's; charge the transposed copy plus
   // the per-row headers before allocating.
-  ScopedMemCharge charge(a.nvals() * sizeof(Entry) +
+  ScopedMemCharge charge(a.nvals() * sizeof(typename Matrix<T>::Entry) +
                          static_cast<std::size_t>(a.ncols()) * sizeof(Row));
-
   std::vector<Row> cols(a.ncols());
   {
     // Degree pass so each output row reserves exactly once.
@@ -45,13 +40,22 @@ std::shared_ptr<const Matrix<T>> cached_transpose(const Matrix<T>& a) {
     pool_checkpoint();
     for (const auto& [j, v] : a.row(i)) cols[j].emplace_back(i, v);
   }
-
-  auto t = std::make_shared<Matrix<T>>(a.ncols(), a.nrows());
+  Matrix<T> t(a.ncols(), a.nrows());
   for (IndexType j = 0; j < a.ncols(); ++j) {
-    if (!cols[j].empty()) t->setRow(j, std::move(cols[j]));
+    if (!cols[j].empty()) t.setRow(j, std::move(cols[j]));
   }
+  return t;
+}
+
+/// Return a shared snapshot of a's transpose, building (and caching) it on
+/// first use. An aborted build installs no cache, so a governor-interrupted
+/// op leaves no partial snapshot.
+template <typename T>
+std::shared_ptr<const Matrix<T>> cached_transpose(const Matrix<T>& a) {
+  if (auto hit = a.transpose_cache()) return hit;
   // First writer wins if two threads raced to build.
-  return a.set_transpose_cache(std::move(t));
+  return a.set_transpose_cache(
+      std::make_shared<Matrix<T>>(materialize_transpose(a)));
 }
 
 /// Amortization-aware variant for the mxv/vxm direction optimizer: returns

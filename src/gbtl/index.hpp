@@ -27,11 +27,6 @@ enum class OutputControl : std::uint8_t { kMerge, kReplace };
 struct NoAccumulate {};
 
 /// Tag type: no write mask — every element of the output is writable.
-struct NoMask {
-  // NoMask behaves as an all-true mask of any shape.
-  static constexpr bool value_at(IndexType, IndexType) noexcept {
-    return true;
-  }
-};
+struct NoMask {};
 
 }  // namespace gbtl

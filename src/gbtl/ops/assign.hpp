@@ -6,12 +6,16 @@
 //                                       levels<frontier> = depth)
 // Per the C API, the mask applies to the WHOLE output container (unlike
 // subassign); positions outside (I, J) are untouched except for replace
-// clearing masked-out entries.
+// clearing masked-out entries. A repeated index in I or J takes its last
+// occurrence (the C API leaves duplicates in assign undefined).
+//
+// The cast/scatter loops live in gbtl/core.hpp (scatter_v / scatter_rows)
+// and the dtype-only drivers in gbtl/detail/drivers.hpp (assign_v_driver /
+// assign_m_driver).
 #pragma once
 
-#include <vector>
-
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
@@ -19,79 +23,14 @@
 
 namespace gbtl {
 
-namespace detail {
-
-/// Resolve AllIndices or an explicit IndexArray into a concrete list.
-inline IndexArray resolve_indices(const AllIndices&, IndexType dim) {
-  IndexArray out(dim);
-  for (IndexType i = 0; i < dim; ++i) out[i] = i;
-  return out;
-}
-inline const IndexArray& resolve_indices(const IndexArray& idx, IndexType) {
-  return idx;
-}
-
-inline void check_indices(const IndexArray& idx, IndexType dim,
-                          const char* what) {
-  for (IndexType i : idx) {
-    if (i >= dim) {
-      throw IndexOutOfBoundsException(std::string(what) + " index " +
-                                      std::to_string(i) + " >= " +
-                                      std::to_string(dim));
-    }
-  }
-}
-
-}  // namespace detail
-
 /// C<M, z>(I, J) = C(I, J) (+) A. Shape of A must be |I| x |J|.
 template <typename CT, typename MaskT, typename AccumT, typename AT,
           typename RowIdxT, typename ColIdxT>
 void assign(Matrix<CT>& c, const MaskT& mask, AccumT accum,
-            const Matrix<AT>& a, const RowIdxT& row_idx_arg,
-            const ColIdxT& col_idx_arg,
+            const Matrix<AT>& a, const RowIdxT& rows, const ColIdxT& cols,
             OutputControl outp = OutputControl::kMerge) {
-  const IndexArray& rows = detail::resolve_indices(row_idx_arg, c.nrows());
-  const IndexArray& cols = detail::resolve_indices(col_idx_arg, c.ncols());
-  detail::check_indices(rows, c.nrows(), "assign row");
-  detail::check_indices(cols, c.ncols(), "assign col");
-  if (a.nrows() != rows.size() || a.ncols() != cols.size()) {
-    throw DimensionException("assign: A shape != |I| x |J|");
-  }
-
-  Matrix<CT> t = c;
-  if constexpr (detail::no_accum_v<AccumT>) {
-    // Without an accumulator the region takes exactly A's structure:
-    // clear every (I, J) position first, then insert A's stored entries.
-    std::vector<bool> col_in_region(c.ncols(), false);
-    for (IndexType j : cols) col_in_region[j] = true;
-    for (IndexType i : rows) {
-      // Collect then remove to avoid invalidating row iteration.
-      IndexArray to_remove;
-      for (const auto& [j, v] : t.row(i)) {
-        (void)v;
-        if (col_in_region[j]) to_remove.push_back(j);
-      }
-      for (IndexType j : to_remove) t.removeElement(i, j);
-    }
-  }
-  for (IndexType ii = 0; ii < rows.size(); ++ii) {
-    for (const auto& [jj, v] : a.row(ii)) {
-      const IndexType i = rows[ii];
-      const IndexType j = cols[jj];
-      if constexpr (detail::no_accum_v<AccumT>) {
-        t.setElement(i, j, static_cast<CT>(v));
-      } else {
-        if (t.hasElement(i, j)) {
-          t.setElement(i, j,
-                       static_cast<CT>(accum(t.extractElement(i, j), v)));
-        } else {
-          t.setElement(i, j, static_cast<CT>(v));
-        }
-      }
-    }
-  }
-  detail::write_matrix_result(c, t, mask, NoAccumulate{}, outp);
+  detail::run_index<core::IndexOp::kAssign>(c, mask, accum, &a, nullptr, rows,
+                                            cols, outp);
 }
 
 /// C<M, z>(I, J) = C(I, J) (+) s — constant assigned to every masked-in
@@ -100,65 +39,22 @@ template <typename CT, typename MaskT, typename AccumT, typename ValueT,
           typename RowIdxT, typename ColIdxT>
   requires ScalarType<ValueT>
 void assign(Matrix<CT>& c, const MaskT& mask, AccumT accum, ValueT val,
-            const RowIdxT& row_idx_arg, const ColIdxT& col_idx_arg,
+            const RowIdxT& rows, const ColIdxT& cols,
             OutputControl outp = OutputControl::kMerge) {
-  const IndexArray& rows = detail::resolve_indices(row_idx_arg, c.nrows());
-  const IndexArray& cols = detail::resolve_indices(col_idx_arg, c.ncols());
-  detail::check_indices(rows, c.nrows(), "assign row");
-  detail::check_indices(cols, c.ncols(), "assign col");
-  check_mask_shape(mask, c);
-
-  Matrix<CT> t = c;
-  for (IndexType i : rows) {
-    for (IndexType j : cols) {
-      if (!mask_value(mask, i, j)) continue;  // masked-out values never read
-      if constexpr (detail::no_accum_v<AccumT>) {
-        t.setElement(i, j, static_cast<CT>(val));
-      } else {
-        if (t.hasElement(i, j)) {
-          t.setElement(i, j,
-                       static_cast<CT>(accum(t.extractElement(i, j), val)));
-        } else {
-          t.setElement(i, j, static_cast<CT>(val));
-        }
-      }
-    }
-  }
-  detail::write_matrix_result(c, t, mask, NoAccumulate{}, outp);
+  const CT v = static_cast<CT>(val);
+  detail::run_index<core::IndexOp::kAssign>(
+      c, mask, accum, static_cast<const Matrix<CT>*>(nullptr), &v, rows,
+      cols, outp);
 }
 
 /// w<m, z>(I) = w(I) (+) u. Size of u must be |I|.
 template <typename WT, typename MaskT, typename AccumT, typename UT,
           typename IdxT>
 void assign(Vector<WT>& w, const MaskT& mask, AccumT accum,
-            const Vector<UT>& u, const IdxT& idx_arg,
+            const Vector<UT>& u, const IdxT& idx,
             OutputControl outp = OutputControl::kMerge) {
-  const IndexArray& idx = detail::resolve_indices(idx_arg, w.size());
-  detail::check_indices(idx, w.size(), "assign");
-  if (u.size() != idx.size()) {
-    throw DimensionException("assign: size(u) != |I|");
-  }
-
-  Vector<WT> t = w;
-  for (IndexType ii = 0; ii < idx.size(); ++ii) {
-    const IndexType i = idx[ii];
-    if (u.has_unchecked(ii)) {
-      const UT& v = u.value_unchecked(ii);
-      if constexpr (detail::no_accum_v<AccumT>) {
-        t.set_unchecked(i, static_cast<WT>(v));
-      } else {
-        if (t.has_unchecked(i)) {
-          t.set_unchecked(i,
-                          static_cast<WT>(accum(t.value_unchecked(i), v)));
-        } else {
-          t.set_unchecked(i, static_cast<WT>(v));
-        }
-      }
-    } else if constexpr (detail::no_accum_v<AccumT>) {
-      t.removeElement(i);  // region takes u's structure exactly
-    }
-  }
-  detail::write_vector_result(w, t, mask, NoAccumulate{}, outp);
+  detail::run_index<core::IndexOp::kAssign>(
+      w, mask, accum, &u, nullptr, idx, AllIndices{}, outp);
 }
 
 /// w<m, z>(I) = w(I) (+) s — Fig. 2's levels<frontier> = depth.
@@ -166,26 +62,11 @@ template <typename WT, typename MaskT, typename AccumT, typename ValueT,
           typename IdxT>
   requires ScalarType<ValueT>
 void assign(Vector<WT>& w, const MaskT& mask, AccumT accum, ValueT val,
-            const IdxT& idx_arg, OutputControl outp = OutputControl::kMerge) {
-  const IndexArray& idx = detail::resolve_indices(idx_arg, w.size());
-  detail::check_indices(idx, w.size(), "assign");
-  check_vec_mask_shape(mask, w);
-
-  Vector<WT> t = w;
-  for (IndexType i : idx) {
-    if (!mask_value(mask, i)) continue;
-    if constexpr (detail::no_accum_v<AccumT>) {
-      t.set_unchecked(i, static_cast<WT>(val));
-    } else {
-      if (t.has_unchecked(i)) {
-        t.set_unchecked(i,
-                        static_cast<WT>(accum(t.value_unchecked(i), val)));
-      } else {
-        t.set_unchecked(i, static_cast<WT>(val));
-      }
-    }
-  }
-  detail::write_vector_result(w, t, mask, NoAccumulate{}, outp);
+            const IdxT& idx, OutputControl outp = OutputControl::kMerge) {
+  const WT v = static_cast<WT>(val);
+  detail::run_index<core::IndexOp::kAssign>(
+      w, mask, accum, static_cast<const Vector<WT>*>(nullptr), &v,
+      idx, AllIndices{}, outp);
 }
 
 }  // namespace gbtl

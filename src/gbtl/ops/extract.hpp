@@ -2,14 +2,15 @@
 //   C<M, z> = C (+) A(I, J)   (submatrix; I/J may repeat indices)
 //   w<m, z> = w (+) u(I)      (subvector)
 //   w<m, z> = w (+) A(I, j)   (matrix column; pass transpose(A) for a row)
+//
+// The cast/gather loops live in gbtl/core.hpp (gather_v / gather_rows) and
+// the dtype-only drivers in gbtl/detail/drivers.hpp (extract_v_driver /
+// extract_m_driver).
 #pragma once
 
-#include <utility>
-#include <vector>
-
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
-#include "gbtl/ops/assign.hpp"  // resolve_indices / check_indices
 #include "gbtl/types.hpp"
 #include "gbtl/vector.hpp"
 #include "gbtl/views.hpp"
@@ -20,87 +21,42 @@ namespace gbtl {
 template <typename CT, typename MaskT, typename AccumT, typename AT,
           typename RowIdxT, typename ColIdxT>
 void extract(Matrix<CT>& c, const MaskT& mask, AccumT accum,
-             const Matrix<AT>& a, const RowIdxT& row_idx_arg,
-             const ColIdxT& col_idx_arg,
+             const Matrix<AT>& a, const RowIdxT& rows, const ColIdxT& cols,
              OutputControl outp = OutputControl::kMerge) {
-  const IndexArray& rows = detail::resolve_indices(row_idx_arg, a.nrows());
-  const IndexArray& cols = detail::resolve_indices(col_idx_arg, a.ncols());
-  detail::check_indices(rows, a.nrows(), "extract row");
-  detail::check_indices(cols, a.ncols(), "extract col");
-  if (c.nrows() != rows.size() || c.ncols() != cols.size()) {
-    throw DimensionException("extract: output shape != |I| x |J|");
-  }
-
-  // Invert the column selection: source column j -> list of output columns
-  // (J may select the same source column several times).
-  std::vector<std::vector<IndexType>> out_cols_of(a.ncols());
-  for (IndexType jj = 0; jj < cols.size(); ++jj) {
-    out_cols_of[cols[jj]].push_back(jj);
-  }
-
-  Matrix<CT> t(rows.size(), cols.size());
-  typename Matrix<CT>::Row out;
-  for (IndexType ii = 0; ii < rows.size(); ++ii) {
-    out.clear();
-    for (const auto& [j, v] : a.row(rows[ii])) {
-      for (IndexType jj : out_cols_of[j]) {
-        out.emplace_back(jj, static_cast<CT>(v));
-      }
-    }
-    if (!out.empty()) {
-      std::sort(out.begin(), out.end(),
-                [](const auto& x, const auto& y) { return x.first < y.first; });
-      t.setRow(ii, std::move(out));
-      out = {};
-    }
-  }
-  detail::write_matrix_result(c, t, mask, accum, outp);
+  detail::run_index<core::IndexOp::kExtract>(c, mask, accum, &a, nullptr, rows,
+                                             cols, outp);
 }
 
 /// w<m, z> = w (+) u(I). Output size must be |I|.
 template <typename WT, typename MaskT, typename AccumT, typename UT,
           typename IdxT>
 void extract(Vector<WT>& w, const MaskT& mask, AccumT accum,
-             const Vector<UT>& u, const IdxT& idx_arg,
+             const Vector<UT>& u, const IdxT& idx,
              OutputControl outp = OutputControl::kMerge) {
-  const IndexArray& idx = detail::resolve_indices(idx_arg, u.size());
-  detail::check_indices(idx, u.size(), "extract");
-  if (w.size() != idx.size()) {
-    throw DimensionException("extract: output size != |I|");
-  }
-
-  Vector<WT> t(w.size());
-  for (IndexType ii = 0; ii < idx.size(); ++ii) {
-    if (u.has_unchecked(idx[ii])) {
-      t.set_unchecked(ii, static_cast<WT>(u.value_unchecked(idx[ii])));
-    }
-  }
-  detail::write_vector_result(w, t, mask, accum, outp);
+  detail::run_index<core::IndexOp::kExtract>(
+      w, mask, accum, &u, nullptr, idx, AllIndices{}, outp);
 }
 
 /// w<m, z> = w (+) A(I, j) — extract (part of) column j of A. Pass
-/// transpose(A) to extract a row. A must expose hasElement/extractElement.
+/// transpose(A) to extract a row.
 template <typename WT, typename MaskT, typename AccumT, typename AMatT,
           typename IdxT>
 void extract(Vector<WT>& w, const MaskT& mask, AccumT accum, const AMatT& a,
-             const IdxT& idx_arg, IndexType col,
+             const IdxT& idx, IndexType col,
              OutputControl outp = OutputControl::kMerge) {
-  const IndexArray& idx = detail::resolve_indices(idx_arg, a.nrows());
-  detail::check_indices(idx, a.nrows(), "extract");
   if (col >= a.ncols()) {
     throw IndexOutOfBoundsException("extract: column outside matrix");
   }
-  if (w.size() != idx.size()) {
-    throw DimensionException("extract: output size != |I|");
-  }
-
-  Vector<WT> t(w.size());
-  for (IndexType ii = 0; ii < idx.size(); ++ii) {
-    if (a.hasElement(idx[ii], col)) {
-      t.set_unchecked(ii, static_cast<WT>(a.extractElement(idx[ii], col)));
+  // Column j as a vector over A's rows, then a subvector extract.
+  Vector<typename AMatT::ScalarType> column(a.nrows());
+  if constexpr (is_transpose_view_v<AMatT>) {
+    for (const auto& [i, v] : a.inner().row(col)) column.setElement(i, v);
+  } else {
+    for (IndexType i = 0; i < a.nrows(); ++i) {
+      if (a.hasElement(i, col)) column.setElement(i, a.extractElement(i, col));
     }
   }
-  detail::write_vector_result(w, t, mask, accum, outp);
+  extract(w, mask, accum, column, idx, outp);
 }
 
 }  // namespace gbtl

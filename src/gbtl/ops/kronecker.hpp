@@ -5,48 +5,20 @@
 //
 //   C<M, z> = C (+) A ⊗kron B,   C(ia*nb + ib, ja*mb + jb) = op(A(ia,ja),
 //                                                               B(ib,jb))
+//
+// The ⊗ loop is a core (gbtl/core.hpp, kron_rows) under the eWise matrix
+// driver (gbtl/detail/drivers.hpp); no JIT key reaches it.
 #pragma once
 
-#include <utility>
+#include <type_traits>
 
-#include "gbtl/detail/write_backend.hpp"
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
-#include "gbtl/ops/mxm.hpp"  // resolve_matrix
 #include "gbtl/types.hpp"
 #include "gbtl/views.hpp"
 
 namespace gbtl {
-
-namespace detail {
-
-template <typename D3, typename AT, typename BT, typename BinaryOpT>
-Matrix<D3> kron_compute(const BinaryOpT& op, const Matrix<AT>& a,
-                        const Matrix<BT>& b) {
-  Matrix<D3> t(a.nrows() * b.nrows(), a.ncols() * b.ncols());
-  typename Matrix<D3>::Row out;
-  for (IndexType ia = 0; ia < a.nrows(); ++ia) {
-    const auto& ra = a.row(ia);
-    if (ra.empty()) continue;
-    for (IndexType ib = 0; ib < b.nrows(); ++ib) {
-      const auto& rb = b.row(ib);
-      if (rb.empty()) continue;
-      out.clear();
-      out.reserve(ra.size() * rb.size());
-      // ja ascending, jb ascending => output columns already sorted.
-      for (const auto& [ja, av] : ra) {
-        for (const auto& [jb, bv] : rb) {
-          out.emplace_back(ja * b.ncols() + jb,
-                           static_cast<D3>(op(av, bv)));
-        }
-      }
-      t.setRow(ia * b.nrows() + ib, std::move(out));
-      out = {};
-    }
-  }
-  return t;
-}
-
-}  // namespace detail
 
 /// C<M, z> = C (+) kron(A, B) with ⊗ = `op`. A and B may be transpose
 /// views (kron(A^T, B^T) == kron(A, B)^T is NOT applied automatically; the
@@ -56,14 +28,24 @@ template <typename CT, typename MaskT, typename AccumT, typename BinaryOpT,
 void kronecker(Matrix<CT>& c, const MaskT& mask, AccumT accum,
                const BinaryOpT& op, const AMatT& a, const BMatT& b,
                OutputControl outp = OutputControl::kMerge) {
-  decltype(auto) ra = detail::resolve_matrix(a);
-  decltype(auto) rb = detail::resolve_matrix(b);
-  if (c.nrows() != ra.nrows() * rb.nrows() ||
-      c.ncols() != ra.ncols() * rb.ncols()) {
-    throw DimensionException("kronecker: output shape != (na*nb, ma*mb)");
-  }
-  auto t = detail::kron_compute<CT>(op, ra, rb);
-  detail::write_matrix_result(c, t, mask, accum, outp);
+  using AT = typename AMatT::ScalarType;
+  using BT = typename BMatT::ScalarType;
+  const detail::BoolMask<MaskT> m(mask);
+  EwiseMCall call;
+  call.c = &c;
+  call.a = &detail::stored_matrix(a);
+  call.a_ops = detail::operand_ops<AT>();
+  call.b = &detail::stored_matrix(b);
+  call.b_ops = detail::operand_ops<BT>();
+  call.mask = m.arg();
+  call.a_transposed = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
+  call.b_transposed = is_transpose_view_v<std::remove_cvref_t<BMatT>>;
+  call.replace = outp == OutputControl::kReplace;
+  call.kron = true;
+  call.op = &op;
+  call.core.rows = &core::kron_rows<CT, AT, BT, BinaryOpT>;
+  call.accum = core::mat_accum<CT>(accum);
+  detail::ewise_m_driver<CT>(call);
 }
 
 }  // namespace gbtl

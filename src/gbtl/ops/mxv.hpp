@@ -22,8 +22,8 @@
 // left-fold and the same mult operand order. Each decision is recorded as
 // a flight-recorder note and an obs counter (mxv_push_decisions /
 // mxv_pull_decisions). The simd backend also pushes vector masks down into
-// the kernels: write_vector_result never reads t at masked-out positions,
-// so those entries are legal to skip computing.
+// the kernels: the commit (commit_vector) never reads t at masked-out
+// positions, so those entries are legal to skip computing.
 #pragma once
 
 #include <type_traits>

@@ -1,56 +1,29 @@
 // gbtl/ops/transpose_op.hpp — the transpose *operation* (as opposed to the
 // TransposeView in views.hpp):
 //   C<M, z> = C (+) A^T
-// materializes the flipped structure and writes it under the standard
-// output discipline.
+// The flip is a cast/index core (gbtl/core.hpp, flip_rows) under the
+// dtype-only transpose_m_driver (gbtl/detail/drivers.hpp).
 #pragma once
 
-#include "gbtl/detail/write_backend.hpp"
+#include <type_traits>
+
+#include "gbtl/core.hpp"
+#include "gbtl/detail/drivers.hpp"
 #include "gbtl/matrix.hpp"
-#include "gbtl/ops/mxm.hpp"  // materialize_transpose
 #include "gbtl/types.hpp"
 #include "gbtl/views.hpp"
 
 namespace gbtl {
-
-namespace detail {
-
-/// Cast-copy a matrix to a (possibly different) scalar type.
-template <typename OutT, typename InT>
-Matrix<OutT> apply_copy_cast(const Matrix<InT>& a) {
-  Matrix<OutT> out(a.nrows(), a.ncols());
-  typename Matrix<OutT>::Row row;
-  for (IndexType i = 0; i < a.nrows(); ++i) {
-    const auto& ra = a.row(i);
-    if (ra.empty()) continue;
-    row.clear();
-    row.reserve(ra.size());
-    for (const auto& [j, v] : ra) row.emplace_back(j, static_cast<OutT>(v));
-    out.setRow(i, std::move(row));
-    row = {};
-  }
-  return out;
-}
-
-}  // namespace detail
 
 /// C<M, z> = C (+) A^T. Passing a TransposeView cancels the transpose
 /// (C = A), matching the C API's handling of a transposed input descriptor.
 template <typename CT, typename MaskT, typename AccumT, typename AMatT>
 void transpose(Matrix<CT>& c, const MaskT& mask, AccumT accum, const AMatT& a,
                OutputControl outp = OutputControl::kMerge) {
-  constexpr bool a_trans = is_transpose_view_v<std::remove_cvref_t<AMatT>>;
-  if (c.nrows() != detail::generic_ncols(a) ||
-      c.ncols() != detail::generic_nrows(a)) {
-    throw DimensionException("transpose: output shape != A^T shape");
-  }
-  if constexpr (a_trans) {
-    auto t = detail::apply_copy_cast<CT>(a.inner());
-    detail::write_matrix_result(c, t, mask, accum, outp);
-  } else {
-    auto t = detail::materialize_transpose(a);
-    detail::write_matrix_result(c, t, mask, accum, outp);
-  }
+  detail::run_index<core::IndexOp::kTranspose,
+                    is_transpose_view_v<std::remove_cvref_t<AMatT>>>(
+      c, mask, accum, &detail::stored_matrix(a), nullptr, AllIndices{},
+      AllIndices{}, outp);
 }
 
 }  // namespace gbtl

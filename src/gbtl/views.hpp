@@ -1,10 +1,10 @@
 // gbtl/views.hpp — non-materializing views over containers: transpose of a
-// matrix and logical complement of a mask, plus the uniform mask-probing
-// interface the operation kernels use.
+// matrix and logical complement of a mask.
 //
 // Per the C API, a mask element is "true" when a value is stored at that
 // position and it coerces to boolean true; complement() inverts that
-// predicate without copying the container.
+// predicate without copying the container. The ops apply masks through
+// detail::BoolMask and core::VecMask / core::MatMask (gbtl/core.hpp).
 #pragma once
 
 #include <type_traits>
@@ -119,84 +119,5 @@ template <typename X>
 struct is_nomask : std::is_same<std::remove_cvref_t<X>, NoMask> {};
 template <typename X>
 inline constexpr bool is_nomask_v = is_nomask<X>::value;
-
-namespace detail {
-
-/// Shape of a Matrix or TransposeView operand.
-template <typename X>
-IndexType generic_nrows(const X& x) {
-  return x.nrows();
-}
-template <typename X>
-IndexType generic_ncols(const X& x) {
-  return x.ncols();
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Uniform mask probing: mask_value(M, i, j) / mask_value(m, i).
-// ---------------------------------------------------------------------------
-
-inline constexpr bool mask_value(const NoMask&, IndexType, IndexType) {
-  return true;
-}
-inline constexpr bool mask_value(const NoMask&, IndexType) { return true; }
-
-template <typename U>
-bool mask_value(const Matrix<U>& m, IndexType i, IndexType j) {
-  return m.hasElement(i, j) && static_cast<bool>(m.extractElement(i, j));
-}
-
-template <typename U>
-bool mask_value(const Vector<U>& m, IndexType i) {
-  return m.hasElement(i) && static_cast<bool>(m.extractElement(i));
-}
-
-template <typename MaskT>
-bool mask_value(const MatrixComplementView<MaskT>& m, IndexType i,
-                IndexType j) {
-  return !mask_value(m.inner(), i, j);
-}
-
-template <typename MaskT>
-bool mask_value(const VectorComplementView<MaskT>& m, IndexType i) {
-  return !mask_value(m.inner(), i);
-}
-
-// ---------------------------------------------------------------------------
-// Mask shape validation (dimensions must match output when a mask is given).
-// ---------------------------------------------------------------------------
-
-template <typename CMatT>
-void check_mask_shape(const NoMask&, const CMatT&) {}
-
-template <typename U, typename CMatT>
-void check_mask_shape(const Matrix<U>& m, const CMatT& c) {
-  if (m.nrows() != c.nrows() || m.ncols() != c.ncols()) {
-    throw DimensionException("mask shape does not match output");
-  }
-}
-
-template <typename MaskT, typename CMatT>
-void check_mask_shape(const MatrixComplementView<MaskT>& m, const CMatT& c) {
-  check_mask_shape(m.inner(), c);
-}
-
-template <typename CVecT>
-void check_vec_mask_shape(const NoMask&, const CVecT&) {}
-
-template <typename U, typename CVecT>
-void check_vec_mask_shape(const Vector<U>& m, const CVecT& c) {
-  if (m.size() != c.size()) {
-    throw DimensionException("mask size does not match output");
-  }
-}
-
-template <typename MaskT, typename CVecT>
-void check_vec_mask_shape(const VectorComplementView<MaskT>& m,
-                          const CVecT& c) {
-  check_vec_mask_shape(m.inner(), c);
-}
 
 }  // namespace gbtl

@@ -451,25 +451,46 @@ void eval_into(Vector& target, const VectorMaskArg& mask,
 // assign / extract
 // ---------------------------------------------------------------------------
 
-void assign_constant(Matrix& target, const MatrixMaskArg& mask,
+namespace {
+
+/// Every assign: C<mask, accum, replace>(I, J) = src, or = value when src
+/// is null.
+template <typename Container, typename MaskArgT>
+void dispatch_assign(const char* func, Container& target, const MaskArgT& mask,
                      const std::optional<Accumulator>& accum, bool replace,
-                     Scalar value, const gbtl::IndexArray* rows,
+                     const Container* src, const Scalar& value,
+                     const gbtl::IndexArray* rows,
                      const gbtl::IndexArray* cols) {
-  fusion::detail::sync_point();
   OpRequest req;
   KernelArgs args;
-  req.func = jit::func::kAssignMS;
+  req.func = func;
   req.c = target.dtype();
   args.c = target.raw();
+  if (src != nullptr) {
+    req.a = src->dtype();
+    args.a = src->raw();
+  } else {
+    set_scalar_channels(args, value);
+  }
   args.replace = replace;
   if (accum) req.accum = accum->op();
   const auto pm = prepare_mask(mask);
   req.mask = pm.kind;
   args.mask = pm.ptr;
-  set_scalar_channels(args, value);
   args.row_indices = rows;
   args.col_indices = cols;
   dispatch(req, args);
+}
+
+}  // namespace
+
+void assign_constant(Matrix& target, const MatrixMaskArg& mask,
+                     const std::optional<Accumulator>& accum, bool replace,
+                     Scalar value, const gbtl::IndexArray* rows,
+                     const gbtl::IndexArray* cols) {
+  fusion::detail::sync_point();
+  dispatch_assign<Matrix>(jit::func::kAssignMS, target, mask, accum, replace,
+                          nullptr, value, rows, cols);
 }
 
 void assign_container(Matrix& target, const MatrixMaskArg& mask,
@@ -479,40 +500,16 @@ void assign_container(Matrix& target, const MatrixMaskArg& mask,
   fusion::detail::sync_point();
   // Self-assignment (`C[...] = C`): snapshot the source first.
   const Matrix src = a.raw() == target.raw() ? a.dup() : a;
-  OpRequest req;
-  KernelArgs args;
-  req.func = jit::func::kAssignMM;
-  req.c = target.dtype();
-  req.a = src.dtype();
-  args.c = target.raw();
-  args.a = src.raw();
-  args.replace = replace;
-  if (accum) req.accum = accum->op();
-  const auto pm = prepare_mask(mask);
-  req.mask = pm.kind;
-  args.mask = pm.ptr;
-  args.row_indices = rows;
-  args.col_indices = cols;
-  dispatch(req, args);
+  dispatch_assign(jit::func::kAssignMM, target, mask, accum, replace, &src,
+                  Scalar(), rows, cols);
 }
 
 void assign_constant(Vector& target, const VectorMaskArg& mask,
                      const std::optional<Accumulator>& accum, bool replace,
                      Scalar value, const gbtl::IndexArray* idx) {
   fusion::detail::sync_point();
-  OpRequest req;
-  KernelArgs args;
-  req.func = jit::func::kAssignVS;
-  req.c = target.dtype();
-  args.c = target.raw();
-  args.replace = replace;
-  if (accum) req.accum = accum->op();
-  const auto pm = prepare_mask(mask);
-  req.mask = pm.kind;
-  args.mask = pm.ptr;
-  set_scalar_channels(args, value);
-  args.row_indices = idx;
-  dispatch(req, args);
+  dispatch_assign<Vector>(jit::func::kAssignVS, target, mask, accum, replace,
+                          nullptr, value, idx, nullptr);
 }
 
 void assign_container(Vector& target, const VectorMaskArg& mask,
@@ -520,20 +517,8 @@ void assign_container(Vector& target, const VectorMaskArg& mask,
                       const Vector& u, const gbtl::IndexArray* idx) {
   fusion::detail::sync_point();
   const Vector src = u.raw() == target.raw() ? u.dup() : u;
-  OpRequest req;
-  KernelArgs args;
-  req.func = jit::func::kAssignVV;
-  req.c = target.dtype();
-  req.a = src.dtype();
-  args.c = target.raw();
-  args.a = src.raw();
-  args.replace = replace;
-  if (accum) req.accum = accum->op();
-  const auto pm = prepare_mask(mask);
-  req.mask = pm.kind;
-  args.mask = pm.ptr;
-  args.row_indices = idx;
-  dispatch(req, args);
+  dispatch_assign(jit::func::kAssignVV, target, mask, accum, replace, &src,
+                  Scalar(), idx, nullptr);
 }
 
 Matrix extract_sub(const Matrix& a, const gbtl::IndexArray* rows,

@@ -14,7 +14,7 @@ namespace pygb::governor {
 
 namespace detail {
 RequestContext g_default_ctx;
-thread_local RequestContext* t_bound = nullptr;
+constinit thread_local RequestContext* t_bound = nullptr;
 }  // namespace detail
 
 namespace {

@@ -260,9 +260,13 @@ namespace detail {
 /// operate on it. Exposed as an object (not an accessor) so the inline
 /// checkpoint() fast path can read its armed word directly.
 extern RequestContext g_default_ctx;
-/// The calling thread's bound context; nullptr = default. Managed
-/// exclusively by ThreadBind.
-extern thread_local RequestContext* t_bound;
+/// The calling thread's bound context; nullptr = default. Managed by
+/// ThreadBind (and the pool's raw adopt for module-spawned threads).
+/// constinit: other translation units then access it directly instead of
+/// through a TLS wrapper. The wrapper's UBSan null check on the variable's
+/// address read stale flags once the linker relaxed the TLS access into an
+/// `lea` in executables, and reported a store to a null pointer.
+extern constinit thread_local RequestContext* t_bound;
 }  // namespace detail
 
 /// The process-wide context behind the legacy free-function API.

@@ -158,18 +158,10 @@ bool quarantine_module(const std::string& so_path) {
   return !fs::exists(so_path, ec);
 }
 
-std::chrono::hours cache_hygiene_horizon() {
-  const char* v = std::getenv("PYGB_CACHE_HYGIENE_HOURS");
-  if (v == nullptr || *v == '\0') return std::chrono::hours(1);
-  const long parsed = std::strtol(v, nullptr, 10);
-  return std::chrono::hours(parsed < 1 ? 1 : parsed);
-}
-
 std::size_t clean_cache_litter(const std::string& dir) {
   std::error_code ec;
   std::size_t removed = 0;
   const auto now = fs::file_time_type::clock::now();
-  const auto stale_age = cache_hygiene_horizon();
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
@@ -178,7 +170,7 @@ std::size_t clean_cache_litter(const std::string& dir) {
       continue;
     }
     const auto mtime = entry.last_write_time(ec);
-    if (ec || now - mtime < stale_age) continue;
+    if (ec || now - mtime < kCacheHygieneHorizon) continue;
     if (fs::remove(entry.path(), ec) && !ec) ++removed;
   }
   return removed;

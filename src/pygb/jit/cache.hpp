@@ -62,7 +62,10 @@ namespace pygb::jit {
 /// pygb/jit/thin.hpp, compile only their operator cores and call the
 /// dtype-only drivers through PoolApi v5; a v8 module would run the old
 /// whole-op bodies against a v5 table it rejects.
-inline constexpr int kCacheSchemaVersion = 9;
+/// v10: assign/extract/transpose modules are thin too, calling the
+/// driver table v2 slots; a v9 module of those families compiled the whole
+/// op against glue.hpp.
+inline constexpr int kCacheSchemaVersion = 10;
 
 /// Include subdirectories whose `*.hpp` files header_digest() covers:
 /// everything pygb/jit/glue.hpp and pygb/jit/thin.hpp (and so every
@@ -133,16 +136,14 @@ std::uint64_t cache_max_bytes();
 bool quarantine_module(const std::string& so_path);
 
 /// Delete stale compile litter — `.tmp` outputs, `.log` diagnostics, and
-/// `.bad` quarantines older than the hygiene horizon (default one hour,
-/// overridable via PYGB_CACHE_HYGIENE_HOURS; young litter may belong to a
-/// live compile in another process, and fresh quarantines are kept for
-/// inspection). Returns the number of files removed. Called on registry
+/// `.bad` quarantines older than kCacheHygieneHorizon (young litter may
+/// belong to a live compile in another process, and fresh quarantines are
+/// kept for inspection). Returns the number of files removed. Called on registry
 /// startup and whenever the cache directory changes.
 std::size_t clean_cache_litter(const std::string& dir);
 
-/// The litter age beyond which clean_cache_litter() reaps, from
-/// PYGB_CACHE_HYGIENE_HOURS (default 1).
-std::chrono::hours cache_hygiene_horizon();
+/// The litter age beyond which clean_cache_litter() reaps.
+inline constexpr std::chrono::hours kCacheHygieneHorizon{1};
 
 /// Evict least-recently-touched modules until the directory's total size
 /// is within `max_bytes`. Eviction takes the FULL stem family — the `.so`

@@ -241,6 +241,16 @@ std::string unary_maker(const OpRequest& r, std::ostringstream& aux) {
          to_string(f.unary_name()) + ">";
 }
 
+/// The gbtl::core::IndexOp of an assign/extract/transpose func; "" for
+/// every other func.
+std::string index_op(const std::string& f) {
+  if (f == func::kTransposeM) return "gbtl::core::IndexOp::kTranspose";
+  if (f == func::kExtractMM || f == func::kExtractVV) {
+    return "gbtl::core::IndexOp::kExtract";
+  }
+  return f.starts_with("assign") ? "gbtl::core::IndexOp::kAssign" : "";
+}
+
 std::string ewise_op_tpl(const OpRequest& r, std::ostringstream& aux) {
   if (r.user_binary) return user_binary_struct(*r.user_binary, aux);
   if (!r.binary_op) throw std::invalid_argument("codegen: missing binary op");
@@ -416,17 +426,8 @@ std::string generate_chain_source(const FusedChainDesc& chain,
 }  // namespace
 
 const char* module_header(const OpRequest& req) {
-  static constexpr const char* kThinFuncs[] = {
-      func::kMxM,         func::kMxV,         func::kVxM,
-      func::kEWiseAddMM,  func::kEWiseAddVV,  func::kEWiseMultMM,
-      func::kEWiseMultVV, func::kApplyM,      func::kApplyV,
-      func::kReduceMS,    func::kReduceVS,    func::kReduceMV};
-  if (!req.chain) {
-    for (const char* f : kThinFuncs) {
-      if (req.func == f) return kThinHeader;
-    }
-  }
-  return kGlueHeader;
+  if (req.chain || req.func.starts_with("algo_")) return kGlueHeader;
+  return kThinHeader;
 }
 
 std::string generate_source(const OpRequest& req, const std::string& stamp,
@@ -436,7 +437,7 @@ std::string generate_source(const OpRequest& req, const std::string& stamp,
                                  info);
   }
   std::ostringstream aux;   // module-local helper structs
-  std::ostringstream inst;  // the run_* instantiation expression
+  std::ostringstream inst;  // the entry's instantiation expression
   int aux_counter = 0;
   const std::string mk = mask_kind_expr(req.mask);
   const std::string acc = accum_type(req);
@@ -490,28 +491,13 @@ std::string generate_source(const OpRequest& req, const std::string& stamp,
          << ", " << monoid_type(req, aux, aux_counter) << ", "
          << bool_lit(req.a_transposed) << ", " << mk << ", " << acc << ", "
          << be << ">";
-  } else if (f == func::kAssignMM) {
-    inst << "pygb::jit::run_assign_mm<" << ct(req) << ", " << at(req) << ", "
-         << mk << ", " << acc << ">";
-  } else if (f == func::kAssignMS) {
-    inst << "pygb::jit::run_assign_ms<" << ct(req) << ", " << mk << ", "
-         << acc << ">";
-  } else if (f == func::kAssignVV) {
-    inst << "pygb::jit::run_assign_vv<" << ct(req) << ", " << at(req) << ", "
-         << mk << ", " << acc << ">";
-  } else if (f == func::kAssignVS) {
-    inst << "pygb::jit::run_assign_vs<" << ct(req) << ", " << mk << ", "
-         << acc << ">";
-  } else if (f == func::kExtractMM) {
-    inst << "pygb::jit::run_extract_mm<" << ct(req) << ", " << at(req)
-         << ", " << mk << ", " << acc << ">";
-  } else if (f == func::kExtractVV) {
-    inst << "pygb::jit::run_extract_vv<" << ct(req) << ", " << at(req)
-         << ", " << mk << ", " << acc << ">";
-  } else if (f == func::kTransposeM) {
-    inst << "pygb::jit::run_transpose_m<" << ct(req) << ", " << at(req)
-         << ", " << bool_lit(req.a_transposed) << ", " << mk << ", " << acc
-         << ">";
+  } else if (const std::string op = index_op(f); !op.empty()) {
+    const bool vector = f == func::kAssignVV || f == func::kAssignVS ||
+                        f == func::kExtractVV;
+    const bool scalar = f == func::kAssignMS || f == func::kAssignVS;
+    inst << "pygb::jit::index_entry<" << op << ", " << bool_lit(!vector)
+         << ", " << ct(req) << ", " << (scalar ? "void" : at(req)) << ", "
+         << bool_lit(req.a_transposed) << ", " << mk << ", " << acc << ">";
   } else if (f == func::kAlgoBfs) {
     inst << "pygb::jit::run_algo_bfs<" << ct(req) << ", " << at(req) << ">";
   } else if (f == func::kAlgoSssp) {
@@ -527,8 +513,9 @@ std::string generate_source(const OpRequest& req, const std::string& stamp,
     throw std::invalid_argument("codegen: unknown func '" + f + "'");
   }
 
-  // Thin entries carry the backend as a template argument; glue kernels
-  // run under a baked BackendScope.
+  // Thin entries carry the backend as a template argument (the
+  // assign/extract/transpose drivers have no backend-specific path); the
+  // algo_* kernels run under a baked BackendScope.
   const char* header = module_header(req);
   const std::string call = "  " + inst.str() + "(args);\n";
   return compose_module(

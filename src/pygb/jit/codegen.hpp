@@ -25,10 +25,10 @@ struct SourceInfo {
   std::string dsl_file;    ///< #line virtual file "pygb:dsl:<func>:<hash>"
 };
 
-/// The header a module for `req` includes: the light pygb/jit/thin.hpp
-/// (operator cores over host drivers) for the operator-carrying single-op
-/// families, pygb/jit/glue.hpp for assign/extract/transpose, whole
-/// algorithms and fused chains. Each has its own build-time PCH.
+/// The header a module for `req` includes: pygb/jit/glue.hpp for fused
+/// chains and whole-algorithm (algo_*) keys, the light pygb/jit/thin.hpp
+/// (cores over host drivers) for every other key. Each has its own
+/// build-time PCH.
 inline constexpr const char* kThinHeader = "pygb/jit/thin.hpp";
 inline constexpr const char* kGlueHeader = "pygb/jit/glue.hpp";
 const char* module_header(const OpRequest& req);

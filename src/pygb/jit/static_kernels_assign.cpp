@@ -1,49 +1,66 @@
 // Build-time kernel table: assign, extract, transpose.
-#include "pygb/jit/glue.hpp"
 #include "pygb/jit/static_kernels.hpp"
 
 namespace pygb::jit::static_reg {
 
 namespace {
 
-/// One kernel of container dtype T with accumulator Acc. `with_a` adds the
-/// source operand's dtype (everything but the scalar assigns).
-template <typename T, typename Acc>
-constexpr StaticEntry entry(const char* f, KernelFn fn, MaskKind mk,
-                            bool with_a = true) {
+using gbtl::core::IndexOp;
+
+/// One kernel of output dtype T, source dtype AT (void: a constant
+/// assign) and accumulator Acc, into a matrix (M) or a vector.
+template <IndexOp Op, bool M, typename T, typename AT, MaskKind MK,
+          typename Acc, bool ATrans = false>
+constexpr StaticEntry entry(const char* f) {
+  using A = typename Acc::template type<T>;
   StaticEntry e{.func = f,
-                .fn = fn,
+                .fn = &index_entry<Op, M, T, AT, ATrans, MK, A>,
                 .accum = Acc::descriptor,
                 .c = dtype_of<T>(),
-                .mask = mk};
-  if (with_a) e.a = dtype_of<T>();
+                .mask = MK,
+                .a_transposed = ATrans};
+  if constexpr (!std::is_void_v<AT>) e.a = dtype_of<AT>();
   return e;
 }
 
+using enum IndexOp;
+
 template <typename T, typename Acc, MaskKind MK>
 constexpr std::array<StaticEntry, 3> matrix_kernels() {
-  using A = typename Acc::template type<T>;
-  return {entry<T, Acc>(func::kAssignMM, &run_assign_mm<T, T, MK, A>, MK),
-          entry<T, Acc>(func::kExtractMM, &run_extract_mm<T, T, MK, A>, MK),
-          entry<T, Acc>(func::kAssignMS, &run_assign_ms<T, MK, A>, MK,
-                        /*with_a=*/false)};
+  return {entry<kAssign, true, T, T, MK, Acc>(func::kAssignMM),
+          entry<kExtract, true, T, T, MK, Acc>(func::kExtractMM),
+          entry<kAssign, true, T, void, MK, Acc>(func::kAssignMS)};
 }
 
 template <typename T, typename Acc, MaskKind MK>
 constexpr std::array<StaticEntry, 3> vector_kernels() {
-  using A = typename Acc::template type<T>;
-  return {entry<T, Acc>(func::kAssignVV, &run_assign_vv<T, T, MK, A>, MK),
-          entry<T, Acc>(func::kExtractVV, &run_extract_vv<T, T, MK, A>, MK),
-          entry<T, Acc>(func::kAssignVS, &run_assign_vs<T, MK, A>, MK,
-                        /*with_a=*/false)};
+  return {entry<kAssign, false, T, T, MK, Acc>(func::kAssignVV),
+          entry<kExtract, false, T, T, MK, Acc>(func::kExtractVV),
+          entry<kAssign, false, T, void, MK, Acc>(func::kAssignVS)};
 }
 
+/// C = A^T, and C = (A^T)^T for a transposed input.
 template <typename T, typename Acc, MaskKind MK>
-constexpr std::array<StaticEntry, 1> transpose_kernel() {
-  return {entry<T, Acc>(
-      func::kTransposeM,
-      &run_transpose_m<T, T, false, MK, typename Acc::template type<T>>, MK)};
+constexpr std::array<StaticEntry, 2> transpose_kernels() {
+  return {entry<kTranspose, true, T, T, MK, Acc>(func::kTransposeM),
+          entry<kTranspose, true, T, T, MK, Acc, true>(func::kTransposeM)};
 }
+
+/// The casting slice: int32 outputs of fp64 sources, no mask, no
+/// accumulator.
+template <IndexOp Op, bool M, bool ATrans = false>
+constexpr StaticEntry cast_entry(const char* f) {
+  return entry<Op, M, std::int32_t, double, MaskKind::kNone, AccNone,
+               ATrans>(f);
+}
+
+constexpr std::array<StaticEntry, 6> kCastKernels = {
+    cast_entry<kAssign, true>(func::kAssignMM),
+    cast_entry<kExtract, true>(func::kExtractMM),
+    cast_entry<kAssign, false>(func::kAssignVV),
+    cast_entry<kExtract, false>(func::kExtractVV),
+    cast_entry<kTranspose, true>(func::kTransposeM),
+    cast_entry<kTranspose, true, true>(func::kTransposeM)};
 
 template <typename T, typename Acc>
 constexpr auto all_masks() {
@@ -53,9 +70,9 @@ constexpr auto all_masks() {
              vector_kernels<T, Acc, MaskKind::kNone>(),
              vector_kernels<T, Acc, MaskKind::kVector>(),
              vector_kernels<T, Acc, MaskKind::kVectorComp>(),
-             transpose_kernel<T, Acc, MaskKind::kNone>(),
-             transpose_kernel<T, Acc, MaskKind::kMatrix>(),
-             transpose_kernel<T, Acc, MaskKind::kMatrixComp>());
+             transpose_kernels<T, Acc, MaskKind::kNone>(),
+             transpose_kernels<T, Acc, MaskKind::kMatrix>(),
+             transpose_kernels<T, Acc, MaskKind::kMatrixComp>());
 }
 
 constexpr auto kTable = cat(
@@ -65,7 +82,8 @@ constexpr auto kTable = cat(
                            all_masks<T, AccMin>(), all_masks<T, AccSecond>());
               }),
     for_types(TypeList<std::int32_t, std::uint64_t, float>{},
-              []<typename T>() { return all_masks<T, AccNone>(); }));
+              []<typename T>() { return all_masks<T, AccNone>(); }),
+    kCastKernels);
 
 }  // namespace
 

@@ -1,9 +1,9 @@
-// pygb/jit/thin.hpp — the light header every single-op JIT module of an
-// operator-carrying family (mxm, mxv/vxm, eWiseAdd/eWiseMult, apply,
-// reduce) includes, and the entry points the static kernel table
-// instantiates for the same families.
+// pygb/jit/thin.hpp — the light header every single-op JIT module (mxm,
+// mxv/vxm, eWiseAdd/eWiseMult, apply, reduce, assign, extract, transpose)
+// includes, and the entry points the static kernel table instantiates for
+// the same families.
 //
-// A thin module compiles only what its key decides: the operator cores of
+// A thin module compiles only what its key decides: the cores of
 // gbtl/core.hpp for its operators and dtypes, plus one entry function that
 // unpacks KernelArgs into a call block and hands it to the dtype-only
 // driver in libpygb. The drivers arrive through the DriverTable the loader
@@ -19,8 +19,8 @@
 // expressions (§VIII) compiled into a thin module therefore see only those
 // headers.
 //
-// Fused chains and whole-algorithm keys still include glue.hpp, which
-// includes this header.
+// Only fused chains and whole-algorithm (algo_*) keys include glue.hpp,
+// which includes this header.
 #pragma once
 
 #include <cstdint>
@@ -401,6 +401,42 @@ void reduce_m_v_entry(const KernelArgs* args) {
   call.accum = gbtl::core::vec_accum<CT>(accum);
   (void)BE;  // row reduction has no backend-specific path
   drivers().reduce_m_v[gbtl::elem_index<CT>()](call);
+}
+
+/// assign, extract or transpose into a matrix (Matrix) or a vector. AT is
+/// void for a constant assign, whose value arrives through the scalar
+/// channel.
+template <gbtl::core::IndexOp Op, bool Matrix, typename CT, typename AT,
+          bool ATrans, MaskKind MK, typename AccumT>
+void index_entry(const KernelArgs* args) {
+  using gbtl::core::IndexOp;
+  const AccumT accum{};
+  const CT val = read_scalar<CT>(args);
+  std::conditional_t<Matrix, gbtl::IndexMCall, gbtl::IndexVCall> call;
+  call.c = args->c;
+  if constexpr (std::is_void_v<AT>) {
+    call.scalar = &val;
+  } else {
+    call.a = args->a;
+    call.a_ops = operand<AT>();
+    call.core = gbtl::core::index_core<Op, Matrix, CT, AT, ATrans>();
+  }
+  call.rows = args->row_indices;
+  call.cols = args->col_indices;
+  call.mask = mask_arg<MK>(args);
+  call.a_transposed = ATrans;
+  call.replace = args->replace;
+  const gbtl::DriverTable& d = drivers();
+  const int e = gbtl::elem_index<CT>();
+  if constexpr (Matrix) {
+    call.accum = gbtl::core::mat_accum<CT>(accum);
+    (Op == IndexOp::kAssign    ? d.assign_m
+     : Op == IndexOp::kExtract ? d.extract_m
+                               : d.transpose_m)[e](call);
+  } else {
+    call.accum = gbtl::core::vec_accum<CT>(accum);
+    (Op == IndexOp::kAssign ? d.assign_v : d.extract_v)[e](call);
+  }
 }
 
 // ---------------------------------------------------------------------------

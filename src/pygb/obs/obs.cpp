@@ -386,7 +386,7 @@ ThreadSink& local_sink() {
 std::uint32_t current_thread_tid() { return local_sink().tid; }
 
 namespace detail {
-thread_local SpanStackTls g_span_stack{};
+constinit thread_local SpanStackTls g_span_stack{};
 }  // namespace detail
 
 int span_stack_unsafe(const char** out, int max) noexcept {

@@ -256,7 +256,9 @@ struct SpanStackTls {
   const char* names[kSpanStackMax];
   int depth;
 };
-extern thread_local SpanStackTls g_span_stack;
+/// constinit, like governor::detail::t_bound: accessed without a TLS
+/// wrapper.
+extern constinit thread_local SpanStackTls g_span_stack;
 
 }  // namespace detail
 

@@ -7,15 +7,15 @@
 //   1. Dead-store elimination: an unmasked, non-accumulating write whose
 //      target is overwritten before any read is dropped (sound because an
 //      unmasked NoAccumulate write replaces the target's contents exactly
-//      — see gbtl/detail/write_backend.hpp).
+//      — see commit_vector/commit_matrix in gbtl/detail/drivers.hpp).
 //   2. Component partitioning: ops that share no containers are
 //      independent; independent components run concurrently on the worker
 //      pool when it has threads to spare.
 //   3. Chain fusion: within a component, maximal runs of fusible ops
 //      become one jit::FusedChainDesc (origin "dag") dispatched as a
 //      single kernel through the ordinary registry/JIT cache. Runs are
-//      capped at PYGB_FUSION_MAX_CHAIN statements (default 16) so module
-//      keys stay bounded; a cap hit is a visible "split" decision.
+//      capped at 16 statements (kMaxChainLen) so module keys stay
+//      bounded; a cap hit is a visible "split" decision.
 //
 // When chains cannot be served (interp/static backends, no compiler, or a
 // JIT failure at flush time) the planner falls back to per-op eager
@@ -60,15 +60,9 @@ std::atomic<bool>& enabled_flag() {
   return f;
 }
 
-std::size_t max_chain_len() {
-  static const std::size_t n = [] {
-    const char* v = std::getenv("PYGB_FUSION_MAX_CHAIN");
-    long parsed = (v != nullptr && *v != '\0') ? std::atol(v) : 16;
-    if (parsed < 2) parsed = 2;
-    return static_cast<std::size_t>(parsed);
-  }();
-  return n;
-}
+/// Statements per fused chain; longer runs split, so module keys stay
+/// bounded.
+constexpr std::size_t kMaxChainLen = 16;
 
 // --- the per-thread recorded program ---------------------------------------
 
@@ -382,7 +376,7 @@ void exec_component(std::vector<PendingOp>& ops,
     return;
   }
   // Greedy maximal runs: every deferred op is chain-fusible, so the only
-  // split points are the PYGB_FUSION_MAX_CHAIN cap.
+  // split points are the kMaxChainLen cap.
   std::vector<std::size_t> run;
   auto submit = [&] {
     if (run.empty()) return;
@@ -395,7 +389,7 @@ void exec_component(std::vector<PendingOp>& ops,
     run.clear();
   };
   for (std::size_t idx : component) {
-    if (run.size() >= max_chain_len()) {
+    if (run.size() >= kMaxChainLen) {
       flightrec::record(flightrec::EventKind::kFusionPlan, "split",
                         static_cast<std::uint64_t>(run.size()), 0);
       submit();

@@ -197,7 +197,7 @@ TEST_P(MxmRandom, MaskedComputationEqualsMaskedFullProduct) {
   mxm(full, NoMask{}, NoAccumulate{}, sr, a, transpose(b));
   for (IndexType i = 0; i < 10; ++i) {
     for (IndexType j = 0; j < 10; ++j) {
-      const bool in_mask = mask_value(maskm, i, j);
+      const bool in_mask = maskm.hasElement(i, j) && maskm.extractElement(i, j);
       if (in_mask && full.hasElement(i, j)) {
         EXPECT_EQ(masked.extractElement(i, j), full.extractElement(i, j));
       } else {

@@ -175,7 +175,7 @@ TEST_P(MxvRandom, MaskedReplaceAndMergeSemantics) {
     Vector<int> w = w0;
     mxv(w, mask, NoAccumulate{}, sr, a, u, outp);
     for (IndexType i = 0; i < 10; ++i) {
-      if (mask_value(mask, i)) {
+      if (mask.hasElement(i) && mask.extractElement(i)) {
         EXPECT_EQ(w.hasElement(i), full.hasElement(i));
         if (full.hasElement(i)) {
           EXPECT_EQ(w.extractElement(i), full.extractElement(i));

@@ -1,9 +1,8 @@
 // Tests: the persistent worker pool behind parallel_for_rows
 // (gbtl/detail/pool.{hpp,cpp}) — lifecycle (lazy start, resize visibility,
-// clean shutdown), static/dynamic schedules, exception propagation, nested
-// calls degrading to inline, the injected PoolApi table, and bit-identical
-// results for the newly parallel eWise/apply/reduce kernels across worker
-// counts and schedules.
+// clean shutdown), exception propagation, nested calls degrading to
+// inline, the injected PoolApi table, and bit-identical results for the
+// parallel eWise/apply/reduce kernels across worker counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,18 +33,6 @@ class ThreadGuard {
 
  private:
   unsigned saved_;
-};
-
-/// RAII schedule override.
-class ScheduleGuard {
- public:
-  explicit ScheduleGuard(detail::Schedule s) : saved_(detail::schedule()) {
-    detail::set_schedule(s);
-  }
-  ~ScheduleGuard() { detail::set_schedule(saved_); }
-
- private:
-  detail::Schedule saved_;
 };
 
 /// OS thread count of this process, or -1 when /proc is unreadable.
@@ -138,11 +125,8 @@ TEST(PoolLifecycle, ConcurrentResizeWhileOperationsRun) {
   flipper.join();
 }
 
-class PoolExceptions : public ::testing::TestWithParam<detail::Schedule> {};
-
-TEST_P(PoolExceptions, PropagateAndLeaveThePoolUsable) {
+TEST(PoolExceptions, PropagateAndLeaveThePoolUsable) {
   ThreadGuard guard(4);
-  ScheduleGuard sched(GetParam());
   EXPECT_THROW(
       detail::parallel_for_rows(1000,
                                 [&](IndexType begin, IndexType) {
@@ -155,39 +139,8 @@ TEST_P(PoolExceptions, PropagateAndLeaveThePoolUsable) {
   run_coverage_op(1000);
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedules, PoolExceptions,
-                         ::testing::Values(detail::Schedule::kStatic,
-                                           detail::Schedule::kDynamic));
-
-TEST(PoolSchedules, DynamicCoversRangeExactlyOnce) {
-  ThreadGuard guard(4);
-  ScheduleGuard sched(detail::Schedule::kDynamic);
-  run_coverage_op(10000);
-}
-
-TEST(PoolSchedules, DynamicMatchesStaticBitExact) {
-  auto a = random_matrix<double>(400, 300, 0.05, 31);
-  auto b = random_matrix<double>(300, 350, 0.05, 32);
-  Matrix<double> seq(400, 350);
-  mxm(seq, NoMask{}, NoAccumulate{}, ArithmeticSemiring<double>{}, a, b);
-
-  for (const unsigned threads : {2u, 4u}) {
-    ThreadGuard guard(threads);
-    for (const auto sched :
-         {detail::Schedule::kStatic, detail::Schedule::kDynamic}) {
-      ScheduleGuard sg(sched);
-      Matrix<double> par(400, 350);
-      mxm(par, NoMask{}, NoAccumulate{}, ArithmeticSemiring<double>{}, a, b);
-      EXPECT_EQ(seq, par) << "threads=" << threads << " sched="
-                          << (sched == detail::Schedule::kStatic ? "static"
-                                                                 : "dynamic");
-    }
-  }
-}
-
 TEST(PoolNesting, NestedParallelForRunsInline) {
   ThreadGuard guard(4);
-  ScheduleGuard sched(detail::Schedule::kStatic);
   std::vector<std::atomic<int>> inner_hits(1000);
   std::atomic<int> outer_calls{0};
   std::atomic<bool> escaped{false};
@@ -199,7 +152,7 @@ TEST(PoolNesting, NestedParallelForRunsInline) {
       for (IndexType i = begin; i < end; ++i) inner_hits[i].fetch_add(1);
     });
   });
-  // Static schedule, 4 participants, 1000 rows: one outer block each, and
+  // 4 participants, 1000 rows: one outer block each, and
   // each block ran the full inner range inline on its own thread.
   EXPECT_EQ(outer_calls.load(), 4);
   EXPECT_FALSE(escaped.load());
@@ -288,13 +241,9 @@ TEST_P(PoolKernels, ReduceMatrixToScalarBitExact) {
   reduce(seq, NoAccumulate{}, PlusMonoid<double>{}, a);
 
   ThreadGuard guard(GetParam());
-  for (const auto sched :
-       {detail::Schedule::kStatic, detail::Schedule::kDynamic}) {
-    ScheduleGuard sg(sched);
-    double par = 0.0;
-    reduce(par, NoAccumulate{}, PlusMonoid<double>{}, a);
-    EXPECT_EQ(seq, par);  // bit-exact: grouping fixed by matrix structure
-  }
+  double par = 0.0;
+  reduce(par, NoAccumulate{}, PlusMonoid<double>{}, a);
+  EXPECT_EQ(seq, par);  // bit-exact: grouping fixed by matrix structure
 }
 
 TEST_P(PoolKernels, ReduceVectorToScalarBitExact) {
@@ -303,13 +252,9 @@ TEST_P(PoolKernels, ReduceVectorToScalarBitExact) {
   reduce(seq, NoAccumulate{}, PlusMonoid<double>{}, u);
 
   ThreadGuard guard(GetParam());
-  for (const auto sched :
-       {detail::Schedule::kStatic, detail::Schedule::kDynamic}) {
-    ScheduleGuard sg(sched);
-    double par = 0.0;
-    reduce(par, NoAccumulate{}, PlusMonoid<double>{}, u);
-    EXPECT_EQ(seq, par);  // bit-exact: grouping fixed by tile width
-  }
+  double par = 0.0;
+  reduce(par, NoAccumulate{}, PlusMonoid<double>{}, u);
+  EXPECT_EQ(seq, par);  // bit-exact: grouping fixed by tile width
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, PoolKernels,

@@ -1,4 +1,5 @@
-// Unit tests: transpose and complement views + the mask-probing interface.
+// Unit tests: transpose and complement views + the mask rule every op
+// applies (BoolMask coercion, then the core mask probe).
 #include <gtest/gtest.h>
 
 #include "gbtl/gbtl.hpp"
@@ -6,6 +7,20 @@
 namespace {
 
 using namespace gbtl;  // NOLINT
+
+/// Whether an op writes position (i, j) of a 2x2 output under mask m.
+template <typename MaskT>
+bool mask_value(const MaskT& m, IndexType i, IndexType j) {
+  const detail::BoolMask<MaskT> bm(m);
+  return detail::mat_mask(bm.arg(), 2, 2)(i, j);
+}
+
+/// Whether an op writes position i of a size-3 output under mask m.
+template <typename MaskT>
+bool mask_value(const MaskT& m, IndexType i) {
+  const detail::BoolMask<MaskT> bm(m);
+  return detail::vec_mask(bm.arg(), 3)(i);
+}
 
 TEST(Views, TransposeViewAccess) {
   Matrix<int> a({{1, 2, 3}, {4, 5, 6}});
@@ -67,19 +82,22 @@ TEST(Views, NoMaskIsAllTrue) {
 }
 
 TEST(Views, MaskShapeChecks) {
-  Matrix<int> c(2, 3);
+  auto check = [](const auto& m) {
+    const detail::BoolMask<std::remove_cvref_t<decltype(m)>> bm(m);
+    detail::mat_mask(bm.arg(), 2, 3);
+  };
   Matrix<bool> good(2, 3);
   Matrix<bool> bad(3, 2);
-  EXPECT_NO_THROW(check_mask_shape(good, c));
-  EXPECT_THROW(check_mask_shape(bad, c), DimensionException);
-  EXPECT_THROW(check_mask_shape(complement(bad), c), DimensionException);
-  EXPECT_NO_THROW(check_mask_shape(NoMask{}, c));
+  EXPECT_NO_THROW(check(good));
+  EXPECT_THROW(check(bad), DimensionException);
+  EXPECT_THROW(check(complement(bad)), DimensionException);
+  EXPECT_NO_THROW(check(NoMask{}));
 
-  Vector<int> w(4);
   Vector<bool> vgood(4);
   Vector<bool> vbad(3);
-  EXPECT_NO_THROW(check_vec_mask_shape(vgood, w));
-  EXPECT_THROW(check_vec_mask_shape(vbad, w), DimensionException);
+  EXPECT_NO_THROW(detail::vec_mask(detail::BoolMask(vgood).arg(), 4));
+  EXPECT_THROW(detail::vec_mask(detail::BoolMask(vbad).arg(), 4),
+               DimensionException);
 }
 
 TEST(Views, TraitDetection) {

@@ -1,13 +1,14 @@
 // Exhaustive parameterized sweep of the GraphBLAS output-write discipline
 // (DESIGN.md §6): accumulate × mask kind × replace/merge, cross-checked
 // against a transparently-written dense model for every stored/absent
-// combination of C and T.
+// combination of C and T. Every op commits through the drivers' one
+// commit; the sweep reaches it through extract with AllIndices, whose
+// result T is exactly its input.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 
-#include "gbtl/detail/write_backend.hpp"
 #include "gbtl/gbtl.hpp"
 
 namespace {
@@ -57,9 +58,9 @@ TEST_P(WriteSemantics, VectorAllCombinations) {
   Vector<int> out = c;
   auto run = [&](const auto& m) {
     if (p.accum == AccumMode::kNone) {
-      detail::write_vector_result(out, t, m, NoAccumulate{}, p.outp);
+      extract(out, m, NoAccumulate{}, t, AllIndices{}, p.outp);
     } else {
-      detail::write_vector_result(out, t, m, Plus<int>{}, p.outp);
+      extract(out, m, Plus<int>{}, t, AllIndices{}, p.outp);
     }
   };
   switch (p.mask) {
@@ -107,9 +108,9 @@ TEST_P(WriteSemantics, MatrixAllCombinations) {
   Matrix<int> out = c;
   auto run = [&](const auto& m) {
     if (p.accum == AccumMode::kNone) {
-      detail::write_matrix_result(out, t, m, NoAccumulate{}, p.outp);
+      extract(out, m, NoAccumulate{}, t, AllIndices{}, AllIndices{}, p.outp);
     } else {
-      detail::write_matrix_result(out, t, m, Plus<int>{}, p.outp);
+      extract(out, m, Plus<int>{}, t, AllIndices{}, AllIndices{}, p.outp);
     }
   };
   switch (p.mask) {
@@ -168,8 +169,7 @@ TEST(WriteSemantics, StoredFalseMaskValueIsMaskedOut) {
   Vector<bool> mask(2);
   mask.setElement(0, true);
   mask.setElement(1, false);  // stored false is NOT masked in
-  detail::write_vector_result(c, t, mask, NoAccumulate{},
-                              OutputControl::kMerge);
+  extract(c, mask, NoAccumulate{}, t, AllIndices{});
   EXPECT_TRUE(c.hasElement(0));
   EXPECT_FALSE(c.hasElement(1));
 }
@@ -180,8 +180,8 @@ TEST(WriteSemantics, NonBoolMaskUsesTruthiness) {
   Vector<double> mask(3);
   mask.setElement(0, 2.5);  // truthy
   mask.setElement(1, 0.0);  // falsy stored value
-  detail::write_vector_result(c, t, mask, NoAccumulate{},
-                              OutputControl::kMerge);
+  // The public op coerces the mask to a boolean copy (BoolMask).
+  assign(c, mask, NoAccumulate{}, t, AllIndices{});
   EXPECT_TRUE(c.hasElement(0));
   EXPECT_FALSE(c.hasElement(1));
   EXPECT_FALSE(c.hasElement(2));

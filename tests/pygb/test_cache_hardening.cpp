@@ -406,16 +406,22 @@ TEST(CacheCompiler, RuntimeArgvUsesTheBuildTimePch) {
   const auto dir = fs::temp_directory_path() /
                    ("pygb_pch_test_" + std::to_string(::getpid()));
   fs::create_directories(dir);
-  // An apply_v module includes the light header and an assign_vs module
-  // glue.hpp; each has its own PCH in the stamp directory.
+  // Single-op modules (apply_v, assign_vs) include the light header and
+  // an algo_* module glue.hpp; each header has its own PCH in the stamp
+  // directory.
   OpRequest thin;
   thin.func = func::kApplyV;
   thin.a = DType::kFP64;
   thin.unary_op = UnaryOp("Identity");
+  OpRequest assign;
+  assign.func = func::kAssignVS;
   OpRequest glue;
-  glue.func = func::kAssignVS;
+  glue.func = func::kAlgoSssp;
+  glue.a = DType::kFP64;
   for (const auto& [req, gch] : {std::pair{thin, kThinPchFile},
+                                 std::pair{assign, kThinPchFile},
                                  std::pair{glue, kPchFile}}) {
+    SCOPED_TRACE(req.func);
     write_file(dir / "m.cpp", generate_source(req, "pch-test"));
     RunOptions opt;
     opt.argv = module_compile_argv(compiler_command(), compile_flags(),
