@@ -29,8 +29,8 @@
 namespace fig10 {
 
 /// Calibrated CPython per-dispatch cost (magic-method call + kwargs hash +
-/// importlib lookup); see DESIGN.md substitution #1. Override by exporting
-/// PYGB_INTERP_NS before launching the bench.
+/// importlib lookup); see DESIGN.md substitution #1. A value already set
+/// through pygb::set_interp_overhead_ns() takes precedence.
 inline constexpr std::int64_t kCPythonDispatchNs = 1500;
 
 /// Build (and memoize per process) the paper's workload graph.

@@ -26,12 +26,10 @@
 // own thread-local slot, which nothing ever set.
 //
 // A future GPU backend slots in here: add an enumerator, teach
-// parse_backend/backend_name the token, and give the kernels a branch —
-// the dispatch key, registry, and codegen plumbing are backend-agnostic.
+// backend_name and PYGB_BACKEND's row in pygb/config.hpp the token, and
+// give the kernels a branch — the dispatch key, registry, and codegen
+// plumbing are backend-agnostic.
 #pragma once
-
-#include <cstdlib>
-#include <cstring>
 
 namespace gbtl::detail {
 
@@ -41,13 +39,10 @@ inline const char* backend_name(Backend b) noexcept {
   return b == Backend::kSimd ? "simd" : "scalar";
 }
 
-/// "scalar"/"simd" (anything else, including null, is scalar).
-inline Backend parse_backend(const char* name) noexcept {
-  if (name != nullptr && std::strcmp(name, "simd") == 0) {
-    return Backend::kSimd;
-  }
-  return Backend::kScalar;
-}
+#if defined(GBTL_POOL_LINKED)
+/// PYGB_BACKEND (detail/pool.cpp; a malformed value aborts).
+Backend env_backend() noexcept;
+#endif
 
 namespace backend_impl {
 
@@ -58,7 +53,7 @@ namespace backend_impl {
 inline Backend& default_slot() noexcept {
   static Backend def =
 #if defined(GBTL_POOL_LINKED)
-      parse_backend(std::getenv("PYGB_BACKEND"));
+      env_backend();
 #else
       Backend::kScalar;
 #endif

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -49,22 +48,15 @@ const auto& stored_matrix(const MatT& a) {
 }
 
 /// Input-vector density at or above which the push-orientation sites pull
-/// over the cached transpose instead. 0 forces pull everywhere stored
-/// entries exist; values > 1 force push. Eligibility alone doesn't build
-/// the transpose: the first eligible request on a matrix still pushes
+/// over the cached transpose instead. Eligibility alone doesn't build the
+/// transpose: the first eligible request on a matrix still pushes
 /// (cached_transpose_if_amortized), so single-use matrices never pay the
 /// O(nnz) materialization.
-inline double mxv_pull_threshold() noexcept {
-  static const double t = [] {
-    const char* v = std::getenv("PYGB_MXV_PULL_THRESHOLD");
-    return (v != nullptr && *v != '\0') ? std::atof(v) : 0.10;
-  }();
-  return t;
-}
+inline constexpr double kMxvPullThreshold = 0.10;
 
 inline bool mxv_should_pull(std::size_t nvals, IndexType size) noexcept {
   return size != 0 && static_cast<double>(nvals) >=
-                          mxv_pull_threshold() * static_cast<double>(size);
+                          kMxvPullThreshold * static_cast<double>(size);
 }
 
 /// SPA working-set budget for the simd backend's L2-tiled Gustavson

@@ -33,6 +33,8 @@
 #include <thread>
 #include <vector>
 
+#include "gbtl/detail/backend.hpp"
+#include "pygb/config.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/governor.hpp"
 #include "pygb/obs/flightrec.hpp"
@@ -42,12 +44,6 @@ namespace gbtl::detail {
 namespace {
 
 thread_local bool t_in_pool_task = false;
-
-unsigned env_thread_count() {
-  const char* v = std::getenv("GBTL_NUM_THREADS");
-  const long parsed = (v != nullptr && *v != '\0') ? std::atol(v) : 1;
-  return static_cast<unsigned>(parsed < 1 ? 1 : parsed);
-}
 
 /// One parallel_for in flight. Lives on the submitter's stack; workers
 /// only touch it between publication and their acknowledgement.
@@ -152,7 +148,7 @@ class WorkerPool {
   }
 
  private:
-  WorkerPool() : count_(env_thread_count()) {}
+  WorkerPool() : count_(pygb::config::get("GBTL_NUM_THREADS")) {}
 
   ~WorkerPool() {
     std::lock_guard submit(submit_mu_);
@@ -308,6 +304,14 @@ void api_flight_note(const char* what, std::uint64_t v0, std::uint64_t v1) {
 unsigned pool_num_threads() { return WorkerPool::instance().count(); }
 
 void pool_set_num_threads(unsigned n) { WorkerPool::instance().set_count(n); }
+
+Backend env_backend() noexcept {
+  try {
+    return static_cast<Backend>(pygb::config::get("PYGB_BACKEND"));
+  } catch (const pygb::config::BadValue& e) {
+    pygb::config::fatal(e);
+  }
+}
 
 void pool_parallel_for(IndexType n, PoolTaskFn fn, void* ctx) {
   WorkerPool::instance().parallel_for(n, fn, ctx);

@@ -24,9 +24,7 @@
 //     sequential loops.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 
 #include "gbtl/detail/pool_api.hpp"
 #include "gbtl/types.hpp"
@@ -76,32 +74,19 @@ void reset_mxv_decisions() noexcept;
 
 #else  // !GBTL_POOL_LINKED — a JIT module compiled without libpygb.
 
-namespace poolfallback {
-/// Thread-count fallback used only when the host never injected its pool
-/// (a stale cached module or a standalone compile of generated source).
-inline std::atomic<unsigned>& thread_count_slot() {
-  static std::atomic<unsigned> count = [] {
-    const char* v = std::getenv("GBTL_NUM_THREADS");
-    const long parsed = (v != nullptr && *v != '\0') ? std::atol(v) : 1;
-    return static_cast<unsigned>(parsed < 1 ? 1 : parsed);
-  }();
-  return count;
-}
-}  // namespace poolfallback
-
+// Without an injected pool (a stale cached module or a standalone compile
+// of generated source), pool_parallel_for runs inline: one thread.
 inline unsigned pool_num_threads() {
   if (const PoolApi* api = injected_pool_api()) {
     return api->num_threads();
   }
-  return poolfallback::thread_count_slot().load();
+  return 1;
 }
 
 inline void pool_set_num_threads(unsigned n) {
   if (const PoolApi* api = injected_pool_api()) {
     api->set_num_threads(n);
-    return;
   }
-  poolfallback::thread_count_slot().store(n < 1 ? 1 : n);
 }
 
 inline void pool_parallel_for(IndexType n, PoolTaskFn fn, void* ctx) {

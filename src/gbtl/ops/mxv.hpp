@@ -13,7 +13,7 @@
 //
 // Under the simd backend (docs/BACKENDS.md) the push-orientation sites are
 // DIRECTION-OPTIMIZED: when the input vector is dense enough
-// (PYGB_MXV_PULL_THRESHOLD, default 0.10 of the vector's size) the kernel
+// (detail::kMxvPullThreshold, 0.10 of the vector's size) the kernel
 // pulls over a cached materialization of A^T instead of scattering — the
 // GraphBLAST push/pull heuristic. The two directions are bit-identical by
 // construction: push folds contributions into t[j] in ascending stored-i

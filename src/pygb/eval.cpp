@@ -6,7 +6,6 @@
 #include "pygb/eval.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "gbtl/detail/backend.hpp"
@@ -25,25 +24,16 @@ namespace pygb {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-std::int64_t& interp_ns_slot() {
-  static std::int64_t ns = [] {
-    const char* v = std::getenv("PYGB_INTERP_NS");
-    return (v != nullptr && *v != '\0') ? std::atoll(v)
-                                        : static_cast<long long>(0);
-  }();
-  return ns;
-}
-
+std::int64_t g_interp_ns = 0;
 }  // namespace
 
-std::int64_t interp_overhead_ns() { return interp_ns_slot(); }
-void set_interp_overhead_ns(std::int64_t ns) { interp_ns_slot() = ns; }
+std::int64_t interp_overhead_ns() { return g_interp_ns; }
+void set_interp_overhead_ns(std::int64_t ns) { g_interp_ns = ns; }
 
 namespace detail {
 
 void interp_pause() {
-  const std::int64_t ns = interp_ns_slot();
+  const std::int64_t ns = g_interp_ns;
   if (ns <= 0) return;
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "pygb/config.hpp"
 #include "pygb/obs/flightrec.hpp"
 
 namespace pygb::faultinj {
@@ -206,27 +207,22 @@ double jitter_unit(std::uint64_t stream, std::uint64_t index) noexcept {
   return static_cast<double>(z >> 11) * 0x1.0p-53;  // 53 bits → [0,1)
 }
 
-void init_from_env() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const char* spec = std::getenv("PYGB_FAULTS");
-    if (spec == nullptr || *spec == '\0') return;
+namespace {
+/// Arm from PYGB_FAULTS during static init of any linking binary.
+struct EnvActivation {
+  EnvActivation() {
+    const std::string spec = config::str("PYGB_FAULTS");
+    if (spec.empty()) return;
     try {
       configure(spec);
-      std::fprintf(stderr, "pygb: fault injection armed: %s\n", spec);
+      std::fprintf(stderr, "pygb: fault injection armed: %s\n", spec.c_str());
     } catch (const std::exception& e) {
       // A typo'd spec must not silently run a chaos suite with no chaos.
       std::fprintf(stderr, "pygb: fatal: bad PYGB_FAULTS spec: %s\n",
                    e.what());
       std::abort();
     }
-  });
-}
-
-namespace {
-/// Arm from the environment during static init of any linking binary.
-struct EnvActivation {
-  EnvActivation() { init_from_env(); }
+  }
 } g_env_activation;
 }  // namespace
 

@@ -115,10 +115,6 @@ void configure(const std::string& spec);
 /// The currently armed spec ("" when disarmed).
 std::string current_spec();
 
-/// Read PYGB_FAULTS once (idempotent; a bad env spec aborts with a
-/// message rather than throwing from a static initializer).
-void init_from_env();
-
 /// Total faults fired since arming (any site). configure() resets it.
 std::uint64_t fired_count() noexcept;
 

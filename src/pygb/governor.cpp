@@ -6,8 +6,8 @@
 #include "pygb/governor.hpp"
 
 #include <chrono>
-#include <cstdlib>
 
+#include "pygb/config.hpp"
 #include "pygb/obs/flightrec.hpp"
 
 namespace pygb::governor {
@@ -49,9 +49,17 @@ bool config_active(const RequestContext& ctx) noexcept {
          faultinj::armed();
 }
 
-/// One env read at static-init time, mirroring faultinj's EnvActivation.
+/// PYGB_MEM_LIMIT_BYTES / PYGB_OP_TIMEOUT_MS, read once at static-init
+/// time, where a malformed value can only abort.
 struct EnvActivation {
-  EnvActivation() { init_from_env(); }
+  EnvActivation() {
+    try {
+      set_mem_limit_bytes(config::get("PYGB_MEM_LIMIT_BYTES"));
+      set_op_timeout_ms(config::get("PYGB_OP_TIMEOUT_MS"));
+    } catch (const config::BadValue& e) {
+      config::fatal(e);
+    }
+  }
 };
 const EnvActivation g_env_activation;
 
@@ -179,19 +187,6 @@ void cancel() noexcept {
 bool cancel_requested() noexcept {
   return detail::g_default_ctx.oneshot_cancel_.load(
       std::memory_order_relaxed);
-}
-
-void init_from_env() {
-  if (const char* v = std::getenv("PYGB_MEM_LIMIT_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end != v) set_mem_limit_bytes(parsed);
-  }
-  if (const char* v = std::getenv("PYGB_OP_TIMEOUT_MS")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end != v) set_op_timeout_ms(parsed);
-  }
 }
 
 // -- memory budget ----------------------------------------------------------

@@ -317,10 +317,6 @@ std::uint64_t op_timeout_ms() noexcept;
 void cancel() noexcept;
 bool cancel_requested() noexcept;
 
-/// Read PYGB_MEM_LIMIT_BYTES / PYGB_OP_TIMEOUT_MS. Runs once automatically
-/// at static-init time (same pattern as pygb::faultinj).
-void init_from_env();
-
 // -- memory budget ----------------------------------------------------------
 
 /// Charge `bytes` against the budget: the bound context's (if any), then

@@ -5,9 +5,9 @@
 // paper's "Python loops" series, benchmarks enable a calibrated busy-wait
 // per dispatched operation.
 //
-// Configuration: PYGB_INTERP_NS environment variable, or
-// set_interp_overhead_ns(). Default 0 (disabled) — the library itself never
-// slows anything down; only the Fig. 10 benches turn this on.
+// Configuration: set_interp_overhead_ns(). Default 0 (disabled) — the
+// library itself never slows anything down; only the Fig. 10 benches turn
+// this on.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,7 @@ namespace pygb {
 /// Current per-dispatch overhead in nanoseconds (0 = disabled).
 std::int64_t interp_overhead_ns();
 
-/// Override the overhead (takes precedence over the environment variable).
+/// Set the overhead (0 disables it).
 void set_interp_overhead_ns(std::int64_t ns);
 
 namespace detail {

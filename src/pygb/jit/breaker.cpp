@@ -3,8 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
+#include "pygb/config.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/obs/flightrec.hpp"
 #include "pygb/obs/obs.hpp"
@@ -24,12 +24,6 @@ void record_transition(const char* state, const std::string& key) {
 }  // namespace
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
-}
 
 /// Stored failure causes are a TAIL, size-capped: a JIT failure message
 /// leads with boilerplate (key, command line) and ends with the captured
@@ -59,8 +53,9 @@ const char* to_string(BreakerState s) noexcept {
 
 CircuitBreaker::Config CircuitBreaker::config_from_env() {
   Config cfg;
-  cfg.failure_threshold = std::max(1, env_int("PYGB_BREAKER_THRESHOLD", 3));
-  cfg.open_ttl_ms = std::max(1, env_int("PYGB_BREAKER_TTL_MS", 15000));
+  cfg.failure_threshold =
+      static_cast<int>(config::get("PYGB_BREAKER_THRESHOLD"));
+  cfg.open_ttl_ms = static_cast<int>(config::get("PYGB_BREAKER_TTL_MS"));
   return cfg;
 }
 

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -15,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "pygb/config.hpp"
 #include "pygb/jit/compiler.hpp"
 #include "pygb/jit/registry.hpp"
 #include "pygb/jit/subprocess.hpp"
@@ -144,9 +144,7 @@ std::string module_stem(const std::string& key) {
 }
 
 std::uint64_t cache_max_bytes() {
-  const char* v = std::getenv("PYGB_CACHE_MAX_BYTES");
-  if (v == nullptr || *v == '\0') return 0;
-  return std::strtoull(v, nullptr, 10);
+  return config::get("PYGB_CACHE_MAX_BYTES");
 }
 
 bool quarantine_module(const std::string& so_path) {
@@ -269,12 +267,8 @@ CacheInfo cache_info(const std::string& dir) {
 }
 
 int lock_timeout_ms() {
-  const char* v = std::getenv("PYGB_LOCK_TIMEOUT_MS");
-  if (v != nullptr && *v != '\0') {
-    const long parsed = std::strtol(v, nullptr, 10);
-    return parsed < 0 ? 0 : static_cast<int>(parsed);
-  }
-  return jit_timeout_ms() + 10000;
+  return static_cast<int>(
+      config::get("PYGB_LOCK_TIMEOUT_MS", jit_timeout_ms() + 10000));
 }
 
 FileLock::FileLock(const std::string& path)

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
 
+#include "pygb/config.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/governor.hpp"
 #include "pygb/jit/cache.hpp"
@@ -22,11 +22,6 @@
 namespace pygb::jit {
 
 namespace {
-
-std::string env_or(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? std::string(v) : fallback;
-}
 
 /// Render an argv for diagnostics. This string is NEVER executed — the
 /// child is launched with execvp on the vector itself — so the quoting
@@ -86,10 +81,10 @@ const Probe& probe(const std::string& command) {
 
 }  // namespace
 
-std::string compiler_command() { return env_or("PYGB_CXX", "g++"); }
+std::string compiler_command() { return config::str("PYGB_CXX"); }
 
 std::string source_include_dir() {
-  return env_or("PYGB_INCLUDE_DIR", PYGB_SOURCE_INCLUDE_DIR);
+  return config::str("PYGB_INCLUDE_DIR", PYGB_SOURCE_INCLUDE_DIR);
 }
 
 std::string compile_flags() {

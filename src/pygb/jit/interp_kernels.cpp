@@ -380,7 +380,9 @@ void exec(const KernelArgs* args) {
     auto a = stage_matrix(args->a, *req.a);
     auto c = stage_vector(args->c, req.c);
     struct RtMonoid {
-      using ScalarType = double;
+      // Read only by gbtl::reduce's static_assert, which g++ 12 does not
+      // count as a use.
+      using ScalarType [[maybe_unused]] = double;
       RtBinary op;
       static double identity() { return 0.0; }  // unused by row-reduce
       double operator()(double x, double y) const { return op(x, y); }

@@ -5,11 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 
+#include "pygb/config.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/jit/cache.hpp"
 #include "pygb/jit/codegen.hpp"
@@ -35,14 +35,6 @@ const char* to_string(Mode m) {
       return "interp";
   }
   return "?";
-}
-
-Mode parse_mode(const std::string& name) {
-  if (name == "auto") return Mode::kAuto;
-  if (name == "static") return Mode::kStatic;
-  if (name == "jit") return Mode::kJit;
-  if (name == "interp") return Mode::kInterp;
-  throw std::invalid_argument("pygb: unknown PYGB_JIT_MODE '" + name + "'");
 }
 
 std::uint64_t key_hash(const std::string& key) {
@@ -132,16 +124,10 @@ Registry& Registry::instance() {
 }
 
 Registry::Registry() {
-  if (const char* m = std::getenv("PYGB_JIT_MODE");
-      m != nullptr && *m != '\0') {
-    set_mode(parse_mode(m));
-  }
-  if (const char* d = std::getenv("PYGB_CACHE_DIR");
-      d != nullptr && *d != '\0') {
-    cache_dir_ = d;
-  } else {
-    cache_dir_ = (fs::temp_directory_path() / "pygb_module_cache").string();
-  }
+  set_mode(static_cast<Mode>(config::get("PYGB_JIT_MODE")));
+  cache_dir_ = config::str(
+      "PYGB_CACHE_DIR",
+      (fs::temp_directory_path() / "pygb_module_cache").string());
   clean_cache_litter(cache_dir_);
 
   std::size_t entries = 0;

@@ -60,7 +60,6 @@ namespace pygb::jit {
 enum class Mode : std::uint8_t { kAuto, kStatic, kJit, kInterp };
 
 const char* to_string(Mode m);
-Mode parse_mode(const std::string& name);
 
 /// Raised when a backend cannot provide a kernel (e.g. static-only mode
 /// with an unregistered combination — the paper's motivating failure).

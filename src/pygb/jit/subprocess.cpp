@@ -4,7 +4,6 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
@@ -18,6 +17,7 @@
 #include <functional>
 #include <thread>
 
+#include "pygb/config.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/obs/obs.hpp"
 
@@ -26,12 +26,6 @@ namespace pygb::jit {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
-}
 
 /// Child stderr kept for diagnostics is capped: a compiler spewing
 /// template errors at full tilt must not balloon the caller's memory.
@@ -483,18 +477,15 @@ RunOutcome run_subprocess(const RunOptions& options) {
 }
 
 int jit_timeout_ms() {
-  const int v = env_int("PYGB_JIT_TIMEOUT_MS", 30000);
-  return v < 0 ? 0 : v;
+  return static_cast<int>(config::get("PYGB_JIT_TIMEOUT_MS"));
 }
 
 std::uint64_t jit_mem_limit_mb() {
-  const int v = env_int("PYGB_JIT_MEM_LIMIT_MB", 0);
-  return v < 0 ? 0 : static_cast<std::uint64_t>(v);
+  return config::get("PYGB_JIT_MEM_LIMIT_MB");
 }
 
 int jit_max_retries() {
-  const int v = env_int("PYGB_JIT_RETRIES", 2);
-  return v < 0 ? 0 : v;
+  return static_cast<int>(config::get("PYGB_JIT_RETRIES"));
 }
 
 std::vector<std::string> split_command(const std::string& command) {

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "pygb/governor.hpp"
@@ -316,11 +315,6 @@ const char* report_dir() noexcept {
 
 std::uint64_t reports_written() noexcept {
   return g_reports.load(std::memory_order_relaxed);
-}
-
-void init_from_env() {
-  const char* dir = std::getenv("PYGB_CRASH_DIR");
-  if (dir != nullptr && *dir != '\0') install(dir);
 }
 
 }  // namespace pygb::crash

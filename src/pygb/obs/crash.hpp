@@ -45,9 +45,6 @@ const char* report_dir() noexcept;
 /// the winner re-raises and dies).
 std::uint64_t reports_written() noexcept;
 
-/// Install from PYGB_CRASH_DIR if set. Called by obs::init_from_env().
-void init_from_env();
-
 namespace detail {
 /// Write the full report body to `fd` for signal `sig` with fault address
 /// `addr`. Exposed for tests (which exercise it on a pipe without dying);

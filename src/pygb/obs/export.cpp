@@ -9,7 +9,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -281,27 +280,6 @@ void install_termination_flush() {
     sigemptyset(&sa.sa_mask);
     sigaction(SIGTERM, &sa, &g_prev_term);
     sigaction(SIGINT, &sa, &g_prev_int);
-  });
-}
-
-void init_export_from_env() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const char* json = std::getenv("PYGB_METRICS_JSON");
-    const char* prom = std::getenv("PYGB_METRICS_PROM");
-    const bool json_on = json != nullptr && *json != '\0';
-    const bool prom_on = prom != nullptr && *prom != '\0';
-    if (!json_on && !prom_on) return;
-    set_export_paths(json_on ? json : "", prom_on ? prom : "");
-    set_metrics_enabled(true);  // exports without data are pointless
-    std::atexit([] { flush_metrics_files(); });
-    // atexit alone loses the final snapshot when a supervisor SIGTERMs the
-    // process (the common way a daemon dies) — see export.hpp.
-    install_termination_flush();
-    if (const char* iv = std::getenv("PYGB_METRICS_INTERVAL_MS");
-        iv != nullptr && *iv != '\0') {
-      start_metrics_flusher(std::strtoll(iv, nullptr, 10));
-    }
   });
 }
 

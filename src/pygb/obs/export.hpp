@@ -65,9 +65,4 @@ void start_metrics_flusher(std::int64_t interval_ms);
 /// beats the certain loss of the final snapshot.
 void install_termination_flush();
 
-/// Read PYGB_METRICS_JSON / PYGB_METRICS_PROM / PYGB_METRICS_INTERVAL_MS,
-/// arm the at-exit flush, the termination-signal flush, and the background
-/// flusher. Called by obs::init_from_env().
-void init_export_from_env();
-
 }  // namespace pygb::obs

@@ -6,11 +6,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
 #include "gbtl/detail/pool.hpp"
+#include "pygb/config.hpp"
 #include "pygb/governor.hpp"
 #include "pygb/obs/crash.hpp"
 #include "pygb/obs/export.hpp"
@@ -529,38 +529,43 @@ void flush_at_exit() {
   }
 }
 
-}  // namespace
-
-void init_from_env() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    bool want_atexit = false;
-    if (const char* t = std::getenv("PYGB_TRACE"); t != nullptr && *t) {
-      trace_path_slot() = t;
-      set_tracing_enabled(true);
-      want_atexit = true;
-    }
-    if (const char* m = std::getenv("PYGB_METRICS");
-        m != nullptr && *m && std::strcmp(m, "0") != 0) {
-      set_metrics_enabled(true);
-      g_dump_metrics_at_exit = true;
-      want_atexit = true;
-    }
-    if (want_atexit) std::atexit(flush_at_exit);
-    // Postmortem half: PYGB_CRASH_DIR arms the crash handler,
-    // PYGB_METRICS_JSON / PYGB_METRICS_PROM (+ PYGB_METRICS_INTERVAL_MS)
-    // arm the snapshot exporters.
-    pygb::crash::init_from_env();
-    init_export_from_env();
-  });
-}
-
-namespace {
 /// Runs during static initialization of any binary linking libpygb (this
-/// TU is always pulled in through the counter/flag symbols).
+/// TU is always pulled in through the counter/flag symbols), where a
+/// malformed knob can only abort.
 struct EnvActivation {
-  EnvActivation() { init_from_env(); }
+  EnvActivation() {
+    try {
+      bool want_atexit = false;
+      if (std::string t = config::str("PYGB_TRACE"); !t.empty()) {
+        trace_path_slot() = std::move(t);
+        set_tracing_enabled(true);
+        want_atexit = true;
+      }
+      if (config::on("PYGB_METRICS")) {
+        set_metrics_enabled(true);
+        g_dump_metrics_at_exit = true;
+        want_atexit = true;
+      }
+      if (want_atexit) std::atexit(flush_at_exit);
+      // Postmortem half: the crash handler and the snapshot exporters.
+      const std::string dir = config::str("PYGB_CRASH_DIR");
+      if (!dir.empty()) pygb::crash::install(dir.c_str());
+      const std::string json = config::str("PYGB_METRICS_JSON");
+      const std::string prom = config::str("PYGB_METRICS_PROM");
+      if (json.empty() && prom.empty()) return;
+      set_export_paths(json, prom);
+      set_metrics_enabled(true);  // exports without data are pointless
+      std::atexit([] { flush_metrics_files(); });
+      // atexit alone loses the final snapshot when a supervisor SIGTERMs
+      // the process (the common way a daemon dies) — see export.hpp.
+      install_termination_flush();
+      start_metrics_flusher(config::get("PYGB_METRICS_INTERVAL_MS"));
+    } catch (const config::BadValue& e) {
+      config::fatal(e);
+    }
+  }
 } g_env_activation;
+
 }  // namespace
 
 }  // namespace pygb::obs

@@ -63,10 +63,6 @@ inline bool metrics_enabled() noexcept {
 void set_tracing_enabled(bool on) noexcept;
 void set_metrics_enabled(bool on) noexcept;
 
-/// Read PYGB_TRACE / PYGB_METRICS once and arrange the at-exit export.
-/// Called automatically from a static initializer; idempotent.
-void init_from_env();
-
 /// Monotonic nanoseconds since an arbitrary process-local anchor.
 std::uint64_t now_ns();
 

@@ -23,8 +23,6 @@
 #include "pygb/plan.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <numeric>
@@ -35,6 +33,7 @@
 #include <vector>
 
 #include "gbtl/detail/pool.hpp"
+#include "pygb/config.hpp"
 #include "pygb/eval.hpp"
 #include "pygb/expr.hpp"
 #include "pygb/fused.hpp"
@@ -48,15 +47,8 @@ using pygb::detail::ExprNode;
 
 namespace {
 
-bool env_enabled_default() {
-  const char* v = std::getenv("PYGB_FUSION");
-  if (v == nullptr || *v == '\0') return true;
-  return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-           std::strcmp(v, "false") == 0 || std::strcmp(v, "OFF") == 0);
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> f{env_enabled_default()};
+  static std::atomic<bool> f{config::on("PYGB_FUSION")};
   return f;
 }
 

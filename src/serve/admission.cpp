@@ -4,36 +4,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "pygb/governor.hpp"
 
 namespace pygb::serve {
-
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0') return parsed;
-  }
-  return fallback;
-}
-
-}  // namespace
-
-AdmissionConfig AdmissionConfig::from_env() {
-  AdmissionConfig cfg;
-  cfg.max_queue = env_u64("PYGB_SERVE_MAX_QUEUE", cfg.max_queue);
-  const std::uint64_t mem_limit = governor::mem_limit_bytes();
-  cfg.mem_high_water_bytes = env_u64(
-      "PYGB_SERVE_MEM_HIGH_WATER_BYTES",
-      mem_limit != 0 ? mem_limit - mem_limit / 10 : 0);
-  cfg.retry_after_ms =
-      env_u64("PYGB_SERVE_RETRY_AFTER_MS", cfg.retry_after_ms);
-  return cfg;
-}
 
 AdmissionController::AdmissionController(const AdmissionConfig& cfg,
                                          std::uint64_t max_concurrency)
@@ -46,7 +20,7 @@ Verdict AdmissionController::try_admit(std::uint64_t queue_depth) {
   if (cfg_.max_queue != 0 && queue_depth >= cfg_.max_queue) {
     v.admitted = false;
     v.reason = "queue full (" + std::to_string(queue_depth) + " >= " +
-               std::to_string(cfg_.max_queue) + ", PYGB_SERVE_MAX_QUEUE)";
+               std::to_string(cfg_.max_queue) + ", --max-queue)";
     v.retry_after_ms = cfg_.retry_after_ms;
     return v;
   }

@@ -3,7 +3,7 @@
 //
 // Two gates, checked in order the moment a connection becomes a request:
 //
-//   1. QUEUE DEPTH — PYGB_SERVE_MAX_QUEUE caps the number of accepted
+//   1. QUEUE DEPTH — max_queue (--max-queue) caps the number of accepted
 //      connections waiting for a worker. Past the cap, the server replies
 //      `overloaded` (with a retry_after_ms hint) WITHOUT reading the
 //      request payload: shedding must cost less than serving, or shedding
@@ -21,7 +21,7 @@
 // successes grow it back by one, up to the worker count. This is the
 // slow-start half of graceful degradation: after a breaker-open storm the
 // server probes its way back to full concurrency instead of stampeding the
-// compiler with PYGB_SERVE_THREADS simultaneous recompiles.
+// compiler with one simultaneous recompile per worker.
 #pragma once
 
 #include <condition_variable>
@@ -31,15 +31,13 @@
 
 namespace pygb::serve {
 
-/// Knobs, resolved once at server start.
+/// Knobs, resolved once at server start (ServerConfig::from_env).
 struct AdmissionConfig {
-  std::uint64_t max_queue = 64;  ///< PYGB_SERVE_MAX_QUEUE (0 = no cap)
+  std::uint64_t max_queue = 64;  ///< --max-queue (0 = no cap)
   /// PYGB_SERVE_MEM_HIGH_WATER_BYTES; 0 = disabled. Defaults to 90% of
   /// PYGB_MEM_LIMIT_BYTES when that limit is set.
   std::uint64_t mem_high_water_bytes = 0;
   std::uint64_t retry_after_ms = 250;  ///< hint in overloaded replies
-
-  static AdmissionConfig from_env();
 };
 
 /// One admission decision. When !admitted, `reason` is a human message and

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <vector>
 
+#include "pygb/config.hpp"
+
 namespace pygb::serve {
 
 namespace {
@@ -78,14 +80,8 @@ std::string one_line(std::string_view s) {
 }  // namespace
 
 std::uint64_t max_request_bytes() {
-  static const std::uint64_t cap = [] {
-    if (const char* v = std::getenv("PYGB_SERVE_MAX_REQUEST_BYTES")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) return static_cast<std::uint64_t>(parsed);
-    }
-    return std::uint64_t{64 * 1024};
-  }();
+  static const std::uint64_t cap =
+      config::get("PYGB_SERVE_MAX_REQUEST_BYTES");
   return cap;
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "pygb/config.hpp"
 #include "pygb/governor.hpp"
 #include "pygb/obs/export.hpp"
 #include "pygb/obs/flightrec.hpp"
@@ -25,19 +26,6 @@
 #endif
 
 namespace pygb::serve {
-
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0') return parsed;
-  }
-  return fallback;
-}
-
-}  // namespace
 
 /// fd → bound context, for the disconnect monitor. A context is only
 /// registered while its worker is executing, and the worker removes it
@@ -67,13 +55,13 @@ struct Server::Active {
 
 ServerConfig ServerConfig::from_env() {
   ServerConfig cfg;
-  cfg.threads = std::max<std::uint64_t>(
-      1, env_u64("PYGB_SERVE_THREADS", cfg.threads));
-  cfg.request_timeout_ms =
-      env_u64("PYGB_SERVE_REQUEST_TIMEOUT_MS", cfg.request_timeout_ms);
-  cfg.drain_ms = env_u64("PYGB_SERVE_DRAIN_MS", cfg.drain_ms);
-  cfg.admission = AdmissionConfig::from_env();
-  cfg.session = SessionConfig::from_env();
+  const std::uint64_t mem_limit = governor::mem_limit_bytes();
+  cfg.admission.mem_high_water_bytes = config::get(
+      "PYGB_SERVE_MEM_HIGH_WATER_BYTES", mem_limit - mem_limit / 10);
+  cfg.admission.retry_after_ms = config::get("PYGB_SERVE_RETRY_AFTER_MS");
+  cfg.session.graph_cache_cap = config::get("PYGB_SERVE_GRAPH_CACHE");
+  cfg.session.max_scale = config::get("PYGB_SERVE_MAX_SCALE");
+  cfg.session.allow_files = config::on("PYGB_SERVE_ALLOW_FILES");
   return cfg;
 }
 

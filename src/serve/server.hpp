@@ -13,7 +13,7 @@
 //   * ISOLATION: each admitted request executes under its own
 //     governor::RequestContext — label, optional memory budget, and a
 //     whole-request deadline (req.timeout_ms or
-//     PYGB_SERVE_REQUEST_TIMEOUT_MS). The gbtl pool propagates the binding
+//     ServerConfig::request_timeout_ms). The gbtl pool propagates the binding
 //     to its workers (PoolApi v4), so one tenant's OOM/deadline/cancel
 //     cannot abort another tenant's op — and the governor's no-partial-
 //     output guarantee holds per request.
@@ -23,7 +23,7 @@
 //   * DRAIN: request_shutdown() (async-signal-safe; wired to SIGTERM by
 //     tools/pygb_serve.cpp) stops accepting, answers queued connections
 //     with `shutting_down`, lets in-flight requests finish under
-//     PYGB_SERVE_DRAIN_MS, cancels stragglers past the cap, flushes the
+//     ServerConfig::drain_ms, cancels stragglers past the cap, flushes the
 //     metrics files, and run() returns 0.
 #pragma once
 
@@ -45,13 +45,14 @@ struct ServerConfig {
   /// "unix:<path>" or "tcp:<port>" ("tcp:0" binds an ephemeral port;
   /// Server::endpoint() reports the real one).
   std::string target = "unix:/tmp/pygb_serve.sock";
-  std::uint64_t threads = 4;              ///< PYGB_SERVE_THREADS
-  std::uint64_t request_timeout_ms = 30000;  ///< PYGB_SERVE_REQUEST_TIMEOUT_MS
-  std::uint64_t drain_ms = 5000;          ///< PYGB_SERVE_DRAIN_MS
+  std::uint64_t threads = 4;                 ///< --threads
+  std::uint64_t request_timeout_ms = 30000;  ///< --request-timeout
+  std::uint64_t drain_ms = 5000;             ///< --drain-ms
   AdmissionConfig admission;
   SessionConfig session;
 
-  /// Resolve every knob but `target` from the environment.
+  /// The defaults, with the admission and session knobs resolved from the
+  /// environment.
   static ServerConfig from_env();
 };
 

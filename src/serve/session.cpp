@@ -20,15 +20,6 @@ namespace pygb::serve {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0') return parsed;
-  }
-  return fallback;
-}
-
 std::uint64_t spec_number(const std::string& spec, const std::string& field) {
   char* end = nullptr;
   errno = 0;
@@ -124,17 +115,6 @@ double vector_sum(const Vector& v) {
 }
 
 }  // namespace
-
-SessionConfig SessionConfig::from_env() {
-  SessionConfig cfg;
-  cfg.graph_cache_cap =
-      std::max<std::uint64_t>(1, env_u64("PYGB_SERVE_GRAPH_CACHE", 8));
-  cfg.max_scale = env_u64("PYGB_SERVE_MAX_SCALE", 20);
-  if (const char* v = std::getenv("PYGB_SERVE_ALLOW_FILES")) {
-    cfg.allow_files = v[0] == '1' && v[1] == '\0';
-  }
-  return cfg;
-}
 
 Matrix GraphCache::get(const std::string& spec) {
   {

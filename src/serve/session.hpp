@@ -41,13 +41,11 @@
 
 namespace pygb::serve {
 
-/// Knobs, resolved once at server start.
+/// Knobs, resolved once at server start (ServerConfig::from_env).
 struct SessionConfig {
   std::uint64_t graph_cache_cap = 8;  ///< PYGB_SERVE_GRAPH_CACHE (min 1)
   std::uint64_t max_scale = 20;       ///< PYGB_SERVE_MAX_SCALE (rmat cap)
-  bool allow_files = false;           ///< PYGB_SERVE_ALLOW_FILES=1
-
-  static SessionConfig from_env();
+  bool allow_files = false;           ///< PYGB_SERVE_ALLOW_FILES
 };
 
 /// Bounded LRU of resolved graphs, shared by all workers. Thread-safe.

@@ -9,7 +9,7 @@
 //
 // Also covered here:
 //   * push-vs-pull mxv/vxm parity at input densities straddling the
-//     direction-optimization crossover (PYGB_MXV_PULL_THRESHOLD, 0.10),
+//     direction-optimization crossover (detail::kMxvPullThreshold, 0.10),
 //     with the decision counters proving both directions actually ran;
 //   * the L2-tiled Gustavson mxm forced on tiny matrices via the mutable
 //     detail::mxm_tile_bytes() budget, checked bit-identical AND for the

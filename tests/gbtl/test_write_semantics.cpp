@@ -86,7 +86,9 @@ TEST_P(WriteSemantics, VectorAllCombinations) {
         (i & 2) ? std::optional<int>(1 + static_cast<int>(i)) : std::nullopt;
     const auto want = model(cv, tv, masked_in, p.accum, p.outp);
     EXPECT_EQ(out.hasElement(i), want.has_value()) << "slot " << i;
-    if (want) EXPECT_EQ(out.extractElement(i), *want) << "slot " << i;
+    if (want) {
+      EXPECT_EQ(out.extractElement(i), *want) << "slot " << i;
+    }
   }
 }
 
@@ -137,7 +139,9 @@ TEST_P(WriteSemantics, MatrixAllCombinations) {
         (k & 2) ? std::optional<int>(1 + static_cast<int>(k)) : std::nullopt;
     const auto want = model(cv, tv, masked_in, p.accum, p.outp);
     EXPECT_EQ(out.hasElement(i, j), want.has_value()) << "slot " << k;
-    if (want) EXPECT_EQ(out.extractElement(i, j), *want) << "slot " << k;
+    if (want) {
+      EXPECT_EQ(out.extractElement(i, j), *want) << "slot " << k;
+    }
   }
 }
 

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -128,6 +130,40 @@ TEST(ThinModuleHeader, IncludesOnlyTheAllowedStandardHeaders) {
       << ::testing::PrintToString(offenders);
   EXPECT_NE(ro.captured.find(project + "gbtl/core.hpp"), std::string::npos)
       << "expected the -H listing to name the operator cores";
+}
+
+/// The project headers in a module-mode -H listing of `header`.
+std::vector<std::string> project_closure(const std::string& header) {
+  RunOptions opt = syntax_only(header, false);
+  opt.argv.insert(opt.argv.begin() + 1, "-H");
+  const RunOutcome ro = run_subprocess(opt);
+  EXPECT_TRUE(ro.ok()) << ro.describe() << "\n" << ro.captured;
+  const std::string project = src_dir().string() + "/";
+  std::vector<std::string> out = {(src_dir() / header).string()};
+  std::size_t pos = 0;
+  while ((pos = ro.captured.find(". " + project, pos)) != std::string::npos) {
+    pos += 2;
+    const std::size_t end = ro.captured.find('\n', pos);
+    out.push_back(ro.captured.substr(pos, end - pos));
+  }
+  return out;
+}
+
+TEST(ModuleHeaders, NeverReadTheEnvironment) {
+  if (!compiler_available()) GTEST_SKIP() << "no compiler";
+  // A cached module must behave the same whatever the host environment
+  // says now; knobs are read in-process (pygb/config.hpp) and reach
+  // modules only through their dispatch key or the injected tables.
+  for (const char* header : {"pygb/jit/thin.hpp", "pygb/jit/glue.hpp"}) {
+    for (const std::string& path : project_closure(header)) {
+      std::ifstream in(path);
+      const std::string text((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      EXPECT_EQ(text.find("getenv"), std::string::npos) << path;
+      EXPECT_EQ(text.find("#include \"pygb/config.hpp\""), std::string::npos)
+          << path;
+    }
+  }
 }
 
 }  // namespace

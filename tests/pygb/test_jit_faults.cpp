@@ -423,6 +423,22 @@ TEST_F(JitFaultsTest, HangingCompilerTimesOutAndFallsBackToInterp) {
   EXPECT_NE(log.find("PYGB_JIT_TIMEOUT_MS"), std::string::npos) << log;
 }
 
+TEST_F(JitFaultsTest, CompilerMemoryLimitFailsTheCompileAndFallsBack) {
+  // 16 MiB of address space is far less than cc1plus needs, so the
+  // compile fails; kAuto answers the cold key through the interpreter.
+  EnvGuard mem("PYGB_JIT_MEM_LIMIT_MB", "16");
+  EnvGuard retries("PYGB_JIT_RETRIES", "0");
+  auto& reg = Registry::instance();
+  reg.clear_memory_cache();
+  reg.reset_stats();
+
+  EXPECT_EQ(uint16_mxm_corner(), kExpectedCorner);
+  const auto st = reg.stats();
+  EXPECT_EQ(st.compiles, 1u);
+  EXPECT_EQ(st.jit_fallbacks, 1u);
+  EXPECT_GE(st.interp_dispatches, 1u);
+}
+
 TEST_F(JitFaultsTest, TransientFailureIsRetriedToSuccess) {
   // Self-SIGTERMs on the first compile (signaled → transient → retried),
   // then execs the real compiler.

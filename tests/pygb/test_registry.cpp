@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "pygb/config.hpp"
 #include "pygb/pygb.hpp"
 
 namespace {
@@ -24,10 +25,12 @@ class RegistryTest : public ::testing::Test {
 };
 
 TEST_F(RegistryTest, ModeParseRoundTrip) {
+  // PYGB_JIT_MODE's tokens are the Mode names, in enumerator order.
+  const config::Row& row = *config::Knob("PYGB_JIT_MODE").row;
   for (auto m : {Mode::kAuto, Mode::kStatic, Mode::kJit, Mode::kInterp}) {
-    EXPECT_EQ(parse_mode(to_string(m)), m);
+    EXPECT_EQ(static_cast<Mode>(config::parse(row, to_string(m))), m);
   }
-  EXPECT_THROW(parse_mode("bogus"), std::invalid_argument);
+  EXPECT_THROW(config::parse(row, "bogus"), std::invalid_argument);
 }
 
 TEST_F(RegistryTest, StaticTableIsPopulated) {

@@ -48,7 +48,8 @@
 //   1-element kernel, compile it, dlopen it, and run it. Emits a
 //   pygb.health JSON document on stdout and exits nonzero if any stage
 //   fails, so an orchestrator's readiness check exercises the exact
-//   pipeline user requests will take. See docs/ROBUSTNESS.md.
+//   pipeline user requests will take. Its "config" array lists every
+//   knob's effective value and source. See docs/ROBUSTNESS.md.
 //
 // PYGB_TRACE=<file> / PYGB_METRICS=1 activate the same observability
 // surfaces from the environment — see docs/OBSERVABILITY.md.
@@ -75,6 +76,7 @@
 #include "algorithms/triangle_count.hpp"
 #include "gbtl/core.hpp"
 #include "gbtl/detail/pool_api.hpp"
+#include "pygb/config.hpp"
 #include "pygb/faultinj.hpp"
 #include "pygb/governor.hpp"
 #include "pygb/jit/cache.hpp"
@@ -431,7 +433,27 @@ int run_health() {
 
   fs::remove_all(dir, ec);
 
-  std::string out = "{\"schema\":\"pygb.health\",\"schema_version\":2,";
+  // The effective configuration, one entry per knob: the value in force
+  // (null: derived where it is read) and its source. A malformed value
+  // fails the probe.
+  std::string config;
+  for (const pygb::config::Row& row : pygb::config::kRows) {
+    config += config.empty() ? "{\"name\":" : ",{\"name\":";
+    obs::detail::append_json_string(config, row.name);
+    bool env = true;
+    try {
+      const char* value = pygb::config::effective(row, env);
+      config += value != nullptr ? ",\"value\":" : ",\"value\":null";
+      if (value != nullptr) obs::detail::append_json_string(config, value);
+    } catch (const pygb::config::BadValue& e) {
+      ok = false;
+      config += ",\"error\":";
+      obs::detail::append_json_string(config, e.what());
+    }
+    config += env ? ",\"source\":\"env\"}" : ",\"source\":\"default\"}";
+  }
+
+  std::string out = "{\"schema\":\"pygb.health\",\"schema_version\":3,";
   out += "\"ok\":";
   out += ok ? "true" : "false";
   out += ",\"compiler\":";
@@ -452,7 +474,7 @@ int run_health() {
     }
     out += "}";
   }
-  out += "]}";
+  out += "],\"config\":[" + config + "]}";
   std::cout << out << "\n";
   return ok ? 0 : 1;
 }

@@ -10,13 +10,13 @@
 // accept loop, in-flight requests finish under --drain-ms, metrics flush,
 // and the process exits 0.
 //
-// Flags mirror pygb_cli (every one shadows an env knob):
+// Flags mirror pygb_cli (a flag shadows the env knob named beside it):
 //   --socket PATH     listen on a Unix socket (default /tmp/pygb_serve.sock)
 //   --port N          listen on loopback TCP instead (0 = ephemeral)
-//   --threads N       worker threads               (PYGB_SERVE_THREADS)
-//   --max-queue N     pending-connection cap       (PYGB_SERVE_MAX_QUEUE)
-//   --request-timeout MS  per-request deadline  (PYGB_SERVE_REQUEST_TIMEOUT_MS)
-//   --drain-ms MS     drain budget at shutdown     (PYGB_SERVE_DRAIN_MS)
+//   --threads N       worker threads (default 4)
+//   --max-queue N     pending-connection cap (default 64; 0 = none)
+//   --request-timeout MS  per-request deadline (default 30000)
+//   --drain-ms MS     drain budget at shutdown (default 5000)
 //   --mem-limit BYTES process governor budget      (PYGB_MEM_LIMIT_BYTES)
 //   --op-timeout MS   per-op deadline default      (PYGB_OP_TIMEOUT_MS)
 //   --metrics-json F  flush pygb.metrics JSON here (PYGB_METRICS_JSON)
@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
       cfg.drain_ms = arg_u64(value());
     } else if (flag == "--mem-limit") {
       pygb::governor::set_mem_limit_bytes(arg_u64(value()));
-      // Admission defaults derive from the limit; recompute.
-      cfg.admission = pygb::serve::AdmissionConfig::from_env();
+      // The high-water default derives from the limit; recompute it.
+      cfg.admission.mem_high_water_bytes =
+          pygb::serve::ServerConfig::from_env().admission.mem_high_water_bytes;
     } else if (flag == "--op-timeout") {
       pygb::governor::set_op_timeout_ms(arg_u64(value()));
     } else if (flag == "--metrics-json") {
